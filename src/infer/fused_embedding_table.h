@@ -31,12 +31,11 @@ namespace came::infer {
 ///                           query encoding skip the encoder stack with
 ///                           bitwise-identical results.
 ///
-/// On disk the table is a versioned, CRC-checksummed binary (magic
-/// "CAMEFET1", same section framing as the training checkpoint format):
-/// every section carries its own CRC32, loads are bounds-checked against
-/// the declared lengths, and saves go through the atomic
-/// temp-write + fsync + rename path, so a torn or bit-flipped file is
-/// reported as Corruption rather than served.
+/// On disk the table is a CRC-framed section file (magic "CAMEFET1",
+/// DESIGN.md §8): every section carries its own CRC32, loads are
+/// bounds-checked against the declared lengths, and saves go through the
+/// atomic temp-write + fsync + rename path, so a torn or bit-flipped file
+/// is reported as Corruption rather than served.
 class FusedEmbeddingTable {
  public:
   /// Empty table (num_entities() == 0). Populate via Build or Load.
@@ -74,9 +73,8 @@ class FusedEmbeddingTable {
 
   /// Per-block score-bound metadata over candidates/bias, the input to
   /// the serving layer's exact panel pruning (tensor::PanelBoundTable).
-  /// Always populated for a non-empty table: recomputed on construction,
-  /// and round-tripped through the on-disk BNDS section (files written
-  /// before the section existed load fine and keep the recomputed table).
+  /// Always populated for a non-empty table: computed from the rows on
+  /// construction (Load included), never read from disk.
   const tensor::PanelBoundTable& bounds() const { return bounds_; }
 
  private:

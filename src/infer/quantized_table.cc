@@ -1,96 +1,11 @@
 #include "infer/quantized_table.h"
 
-#include <cstring>
 #include <utility>
 
-#include "common/io.h"
 #include "common/logging.h"
 #include "tensor/qgemm.h"
 
 namespace came::infer {
-
-namespace {
-
-// Version 2 of the CAMEFET container (little-endian). Shares the v1
-// magic and fourcc+len+crc section framing, so each loader can detect
-// the other's files and point at the right entry point:
-//   magic    8 bytes "CAMEFET1"
-//   version  u32 = 2
-//   count    u32 = 4
-//   sections, in order:
-//     META: name_len u32, name bytes, n i64, d i64, dtype u8
-//           (1 = int8, 2 = bf16)
-//     QROW: raw encoded rows, n*d bytes (int8) or n*d*2 bytes (bf16)
-//     SCAL: n fp32 row scales (int8) or empty (bf16)
-//     BIAS: n fp32 biases, or empty
-constexpr char kMagic[8] = {'C', 'A', 'M', 'E', 'F', 'E', 'T', '1'};
-constexpr uint32_t kQuantVersion = 2;
-constexpr uint32_t kFp32Version = 1;
-
-constexpr uint32_t FourCc(char a, char b, char c, char d) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(a)) |
-         static_cast<uint32_t>(static_cast<unsigned char>(b)) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(c)) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(d)) << 24;
-}
-
-constexpr uint32_t kSectionMeta = FourCc('M', 'E', 'T', 'A');
-constexpr uint32_t kSectionQuantRows = FourCc('Q', 'R', 'O', 'W');
-constexpr uint32_t kSectionScales = FourCc('S', 'C', 'A', 'L');
-constexpr uint32_t kSectionBias = FourCc('B', 'I', 'A', 'S');
-constexpr uint32_t kSectionBounds = FourCc('B', 'N', 'D', 'S');
-
-constexpr uint64_t kMaxSectionBytes = 1ULL << 33;  // 8 GiB
-constexpr uint64_t kMaxNameLen = 4096;
-constexpr uint8_t kDtypeInt8 = 1;
-constexpr uint8_t kDtypeBf16 = 2;
-
-template <typename T>
-void AppendPod(std::string* buf, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  buf->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  Status ReadRaw(void* out, size_t n) {
-    if (n > size_ - pos_) {
-      return Status::Corruption("quantized table truncated at byte " +
-                                std::to_string(pos_));
-    }
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status ReadPod(T* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return ReadRaw(out, sizeof(T));
-  }
-
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-void AppendSection(std::string* file, uint32_t id, const std::string& payload) {
-  AppendPod(file, id);
-  AppendPod(file, static_cast<uint64_t>(payload.size()));
-  AppendPod(file, io::Crc32(payload.data(), payload.size()));
-  file->append(payload);
-}
-
-uint8_t DtypeByte(ScoreDtype dtype) {
-  return dtype == ScoreDtype::kInt8 ? kDtypeInt8 : kDtypeBf16;
-}
-
-}  // namespace
 
 Result<QuantizedTable> QuantizedTable::Build(const FusedEmbeddingTable& table,
                                              ScoreDtype dtype) {
@@ -163,213 +78,6 @@ int64_t QuantizedTable::entity_matrix_bytes() const {
            static_cast<int64_t>(scales_.size()) * 4;
   }
   return static_cast<int64_t>(bf16_rows_.size()) * 2;
-}
-
-Status QuantizedTable::Save(const std::string& path) const {
-  CAME_CHECK_GT(num_entities_, 0) << "cannot save an empty quantized table";
-
-  std::string meta;
-  AppendPod(&meta, static_cast<uint32_t>(model_name_.size()));
-  meta.append(model_name_);
-  AppendPod(&meta, num_entities_);
-  AppendPod(&meta, dim_);
-  AppendPod(&meta, DtypeByte(dtype_));
-
-  std::string qrow;
-  std::string scal;
-  if (dtype_ == ScoreDtype::kInt8) {
-    qrow.append(reinterpret_cast<const char*>(int8_rows_.data()),
-                int8_rows_.size());
-    scal.append(reinterpret_cast<const char*>(scales_.data()),
-                scales_.size() * sizeof(float));
-  } else {
-    qrow.append(reinterpret_cast<const char*>(bf16_rows_.data()),
-                bf16_rows_.size() * sizeof(uint16_t));
-  }
-
-  std::string bias;
-  if (has_bias()) {
-    bias.append(reinterpret_cast<const char*>(bias_.data()),
-                static_cast<size_t>(bias_.numel()) * sizeof(float));
-  }
-
-  std::string file;
-  file.append(kMagic, sizeof(kMagic));
-  AppendPod(&file, kQuantVersion);
-  AppendPod(&file, static_cast<uint32_t>(bounds_.empty() ? 4 : 5));
-  AppendSection(&file, kSectionMeta, meta);
-  AppendSection(&file, kSectionQuantRows, qrow);
-  AppendSection(&file, kSectionScales, scal);
-  AppendSection(&file, kSectionBias, bias);
-  if (!bounds_.empty()) {
-    AppendSection(&file, kSectionBounds, bounds_.Encode());
-  }
-  return io::WriteFileAtomic(path, file.data(), file.size());
-}
-
-Status QuantizedTable::Load(const std::string& path, QuantizedTable* out) {
-  CAME_CHECK(out != nullptr);
-  std::string file;
-  CAME_RETURN_IF_ERROR(io::ReadFile(path, &file));
-  Reader r(file.data(), file.size());
-
-  char magic[8];
-  CAME_RETURN_IF_ERROR(r.ReadRaw(magic, sizeof(magic)));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption(path + ": not a fused table (bad magic)");
-  }
-  uint32_t version = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&version));
-  if (version == kFp32Version) {
-    return Status::InvalidArgument(
-        path + ": fused table version 1 is the fp32 format; load it with "
-               "FusedEmbeddingTable::Load");
-  }
-  if (version != kQuantVersion) {
-    return Status::InvalidArgument(path +
-                                   ": unsupported fused table version " +
-                                   std::to_string(version));
-  }
-  uint32_t section_count = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&section_count));
-  if (section_count != 4 && section_count != 5) {
-    return Status::Corruption(path + ": expected 4 or 5 sections, found " +
-                              std::to_string(section_count));
-  }
-
-  std::string model_name;
-  int64_t n = 0;
-  int64_t d = 0;
-  uint8_t dtype_byte = 0;
-  std::string qrow;
-  std::string scal;
-  std::string bias_bytes;
-  tensor::PanelBoundTable stored_bounds;
-
-  constexpr uint32_t kExpectedOrder[5] = {kSectionMeta, kSectionQuantRows,
-                                          kSectionScales, kSectionBias,
-                                          kSectionBounds};
-  for (uint32_t idx = 0; idx < section_count; ++idx) {
-    uint32_t id = 0;
-    uint64_t len = 0;
-    uint32_t crc = 0;
-    CAME_RETURN_IF_ERROR(r.ReadPod(&id));
-    CAME_RETURN_IF_ERROR(r.ReadPod(&len));
-    CAME_RETURN_IF_ERROR(r.ReadPod(&crc));
-    if (id != kExpectedOrder[idx]) {
-      return Status::Corruption(path + ": unexpected section id at index " +
-                                std::to_string(idx));
-    }
-    if (len > kMaxSectionBytes || len > r.remaining()) {
-      return Status::Corruption(path + ": section length out of range");
-    }
-    std::string payload(len, 0);
-    CAME_RETURN_IF_ERROR(r.ReadRaw(payload.data(), len));
-    if (io::Crc32(payload.data(), payload.size()) != crc) {
-      return Status::Corruption(path + ": CRC mismatch in section " +
-                                std::to_string(idx));
-    }
-    switch (id) {
-      case kSectionMeta: {
-        Reader pr(payload.data(), payload.size());
-        uint32_t name_len = 0;
-        CAME_RETURN_IF_ERROR(pr.ReadPod(&name_len));
-        if (name_len > kMaxNameLen) {
-          return Status::Corruption("model name length out of range");
-        }
-        model_name.assign(name_len, 0);
-        CAME_RETURN_IF_ERROR(pr.ReadRaw(model_name.data(), name_len));
-        CAME_RETURN_IF_ERROR(pr.ReadPod(&n));
-        CAME_RETURN_IF_ERROR(pr.ReadPod(&d));
-        CAME_RETURN_IF_ERROR(pr.ReadPod(&dtype_byte));
-        if (pr.remaining() != 0) {
-          return Status::Corruption("trailing bytes in meta section");
-        }
-        break;
-      }
-      case kSectionQuantRows:
-        qrow = std::move(payload);
-        break;
-      case kSectionScales:
-        scal = std::move(payload);
-        break;
-      case kSectionBias:
-        bias_bytes = std::move(payload);
-        break;
-      case kSectionBounds: {
-        Result<tensor::PanelBoundTable> b =
-            tensor::PanelBoundTable::Decode(payload.data(), payload.size());
-        if (!b.ok()) return b.status();
-        stored_bounds = std::move(b).value();
-        break;
-      }
-      default:
-        return Status::Corruption("unreachable section id");
-    }
-  }
-  if (r.remaining() != 0) {
-    return Status::Corruption(path + ": trailing bytes after last section");
-  }
-
-  // Cross-section validation: every payload length is fixed by the meta
-  // header, so any mismatch is Corruption rather than a wild read.
-  if (n <= 0 || d <= 0 || n > static_cast<int64_t>(kMaxSectionBytes) ||
-      d > static_cast<int64_t>(kMaxSectionBytes)) {
-    return Status::Corruption(path + ": meta shape out of range");
-  }
-  if (dtype_byte != kDtypeInt8 && dtype_byte != kDtypeBf16) {
-    return Status::Corruption(path + ": unknown quantized dtype byte " +
-                              std::to_string(dtype_byte));
-  }
-  const ScoreDtype dtype =
-      dtype_byte == kDtypeInt8 ? ScoreDtype::kInt8 : ScoreDtype::kBf16;
-  const uint64_t elems = static_cast<uint64_t>(n) * static_cast<uint64_t>(d);
-  const uint64_t want_qrow =
-      dtype == ScoreDtype::kInt8 ? elems : elems * sizeof(uint16_t);
-  if (qrow.size() != want_qrow) {
-    return Status::Corruption(path + ": quantized row bytes mismatch");
-  }
-  const uint64_t want_scal =
-      dtype == ScoreDtype::kInt8 ? static_cast<uint64_t>(n) * sizeof(float)
-                                 : 0;
-  if (scal.size() != want_scal) {
-    return Status::Corruption(path + ": scale bytes mismatch");
-  }
-  if (!bias_bytes.empty() &&
-      bias_bytes.size() != static_cast<uint64_t>(n) * sizeof(float)) {
-    return Status::Corruption(path + ": bias bytes mismatch");
-  }
-
-  QuantizedTable t;
-  t.model_name_ = std::move(model_name);
-  t.dtype_ = dtype;
-  t.num_entities_ = n;
-  t.dim_ = d;
-  if (dtype == ScoreDtype::kInt8) {
-    t.int8_rows_.resize(elems);
-    std::memcpy(t.int8_rows_.data(), qrow.data(), qrow.size());
-    t.scales_.resize(static_cast<size_t>(n));
-    std::memcpy(t.scales_.data(), scal.data(), scal.size());
-  } else {
-    t.bf16_rows_.resize(elems);
-    std::memcpy(t.bf16_rows_.data(), qrow.data(), qrow.size());
-  }
-  if (!bias_bytes.empty()) {
-    t.bias_ = tensor::Tensor({n});
-    std::memcpy(t.bias_.data(), bias_bytes.data(), bias_bytes.size());
-  }
-  if (!stored_bounds.empty()) {
-    if (stored_bounds.rows() != n) {
-      return Status::Corruption(path + ": bounds section covers " +
-                                std::to_string(stored_bounds.rows()) +
-                                " rows, table has " + std::to_string(n));
-    }
-    t.bounds_ = std::move(stored_bounds);
-  } else {
-    t.ComputeBounds();
-  }
-  *out = std::move(t);
-  return Status::OK();
 }
 
 QuantizedTablePanelSource::QuantizedTablePanelSource(

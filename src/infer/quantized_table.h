@@ -21,18 +21,12 @@ namespace came::infer {
 /// would save nothing and cost accuracy. Folded encoder rows are not
 /// carried: they exist to rebuild query encoders, which stay fp32.
 ///
-/// On disk this is version 2 of the CAMEFET container (same magic and
-/// section framing as version 1, so either loader gives a precise
-/// "wrong version, use the other loader" error instead of Corruption):
-///   magic "CAMEFET1", version u32 = 2, count u32 = 4 or 5, then sections
-///   META (name, N, d, dtype byte) / QROW (raw int8 or bf16 rows) /
-///   SCAL (fp32 row scales; empty for bf16) / BIAS (fp32 bias; maybe
-///   empty) / optional BNDS (panel-pruning bound table), each CRC32-framed
-///   and bounds-checked like v1. 4-section files predate BNDS and load
-///   with the bounds recomputed from the encoded rows.
+/// The table lives in memory only: ScoreServer builds it from a fused
+/// table at construction. The on-disk quantized form is a ShardStore
+/// (ShardStore::Quantize).
 class QuantizedTable {
  public:
-  /// Empty table (num_entities() == 0). Populate via Build or Load.
+  /// Empty table (num_entities() == 0). Populate via Build.
   QuantizedTable() = default;
 
   /// Quantizes `table`'s candidate matrix. `dtype` must be kInt8 or
@@ -40,9 +34,6 @@ class QuantizedTable {
   /// (a quantized table must never encode garbage).
   static Result<QuantizedTable> Build(const FusedEmbeddingTable& table,
                                       ScoreDtype dtype);
-
-  Status Save(const std::string& path) const;
-  static Status Load(const std::string& path, QuantizedTable* out);
 
   const std::string& model_name() const { return model_name_; }
   ScoreDtype dtype() const { return dtype_; }
@@ -64,8 +55,7 @@ class QuantizedTable {
 
   /// Per-block score-bound metadata over the *encoded* rows (for int8,
   /// the bound covers the dequantized codes, scale-aware) plus the fp32
-  /// bias. Always populated for a non-empty table; round-tripped through
-  /// the on-disk BNDS section, recomputed for files written before it.
+  /// bias. Always populated for a non-empty table.
   const tensor::PanelBoundTable& bounds() const { return bounds_; }
 
  private:

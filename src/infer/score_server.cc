@@ -200,15 +200,15 @@ ScoreServer::ScoreServer(baselines::InnerProductKgcModel* model,
 ScoreServer::ScoreServer(QueryEncoder encoder,
                          const FusedEmbeddingTable* table,
                          const ScoreServerConfig& config)
-    : encoder_(std::move(encoder)), table_(table), config_(config) {
+    : encoder_(std::move(encoder)), config_(config) {
   CAME_CHECK(encoder_ != nullptr);
-  CAME_CHECK(table_ != nullptr);
+  CAME_CHECK(table != nullptr);
   if (config_.dtype == ScoreDtype::kFp32) {
-    owned_source_ = std::make_unique<FusedTablePanelSource>(table_);
+    owned_source_ = std::make_unique<FusedTablePanelSource>(table);
   } else {
     // Quantize the candidate matrix once at construction; the sweep then
     // scores against the compact snapshot for the server's lifetime.
-    Result<QuantizedTable> qt = QuantizedTable::Build(*table_, config_.dtype);
+    Result<QuantizedTable> qt = QuantizedTable::Build(*table, config_.dtype);
     CAME_CHECK(qt.ok()) << qt.status().ToString();
     owned_qtable_ = std::make_unique<QuantizedTable>(std::move(qt).value());
     owned_source_ =
@@ -234,11 +234,6 @@ ScoreServer::ScoreServer(QueryEncoder encoder, CandidatePanelSource* source,
                       << config_.panel_width << " is not positive; using 1024";
     config_.panel_width = 1024;
   }
-}
-
-const FusedEmbeddingTable& ScoreServer::table() const {
-  CAME_CHECK(table_ != nullptr) << "server is not backed by a fused table";
-  return *table_;
 }
 
 const QuantizedTable& ScoreServer::quantized_table() const {

@@ -176,9 +176,6 @@ class ScoreServer {
   /// The precision the sweep actually scores in (the panel source's
   /// dtype — for fused-table servers this is config.dtype).
   ScoreDtype score_dtype() const { return source_->dtype(); }
-  /// The fused table, when this server was built over one (CHECK-fails
-  /// for shard-backed servers).
-  const FusedEmbeddingTable& table() const;
   /// The quantized table a non-fp32 fused-table server scores against
   /// (CHECK-fails when score_dtype() is fp32 or the server is
   /// source-backed).
@@ -220,8 +217,8 @@ class ScoreServer {
                      const std::vector<int64_t>& rels) const;
 
   QueryEncoder encoder_;
-  const FusedEmbeddingTable* table_ = nullptr;  // null for shard-backed
-  /// Owned quantized snapshot of `table_` when config.dtype != fp32.
+  /// Owned quantized snapshot of the fused table when config.dtype !=
+  /// fp32.
   std::unique_ptr<QuantizedTable> owned_qtable_;
   std::unique_ptr<CandidatePanelSource> owned_source_;
   CandidatePanelSource* source_ = nullptr;

@@ -48,12 +48,14 @@ class Module {
   Status LoadParameterValues(
       const std::vector<std::pair<std::string, tensor::Tensor>>& named_values);
 
-  /// Binary serialisation of named parameters (name, shape, float data).
-  /// The file is written atomically (temp + fsync + rename), so a crash
-  /// mid-save can never corrupt a previous save under the same path.
+  /// Saves the named parameters as a CRC-framed section file (magic
+  /// "CAMEPRM1", DESIGN.md §8). The file is written atomically (temp +
+  /// fsync + rename), so a crash mid-save can never corrupt a previous
+  /// save under the same path.
   Status SaveParameters(const std::string& path) const;
   /// Loads parameters saved by SaveParameters; names and shapes must
-  /// match this module exactly.
+  /// match this module exactly. A corrupt, truncated or mismatched file
+  /// returns a non-OK Status and leaves every parameter untouched.
   Status LoadParameters(const std::string& path);
 
  protected:

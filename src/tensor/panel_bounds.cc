@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/logging.h"
+#include "common/section_file.h"
 #include "tensor/qgemm.h"
 
 namespace came::tensor {
@@ -13,12 +13,6 @@ namespace came::tensor {
 namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
-
-template <typename T>
-void AppendPod(std::string* buf, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  buf->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
 
 }  // namespace
 
@@ -71,9 +65,9 @@ float PanelBoundTable::MaxBias(int64_t begin, int64_t end) const {
 
 std::string PanelBoundTable::Encode() const {
   std::string buf;
-  AppendPod(&buf, rows_);
-  AppendPod(&buf, block_rows_);
-  AppendPod(&buf, static_cast<uint64_t>(norms_.size()));
+  io::AppendPod(&buf, rows_);
+  io::AppendPod(&buf, block_rows_);
+  io::AppendPod(&buf, static_cast<uint64_t>(norms_.size()));
   buf.append(reinterpret_cast<const char*>(norms_.data()),
              norms_.size() * sizeof(float));
   buf.append(reinterpret_cast<const char*>(bias_max_.data()),
@@ -83,28 +77,27 @@ std::string PanelBoundTable::Encode() const {
 
 Result<PanelBoundTable> PanelBoundTable::Decode(const char* data,
                                                 size_t size) {
+  io::ByteReader r(data, size, "panel bounds");
   int64_t rows = 0;
   int64_t block_rows = 0;
   uint64_t blocks = 0;
-  const size_t header = sizeof(rows) + sizeof(block_rows) + sizeof(blocks);
-  if (size < header) {
-    return Status::Corruption("panel bounds payload truncated");
-  }
-  std::memcpy(&rows, data, sizeof(rows));
-  std::memcpy(&block_rows, data + sizeof(rows), sizeof(block_rows));
-  std::memcpy(&blocks, data + sizeof(rows) + sizeof(block_rows),
-              sizeof(blocks));
+  CAME_RETURN_IF_ERROR(r.ReadPod(&rows));
+  CAME_RETURN_IF_ERROR(r.ReadPod(&block_rows));
+  CAME_RETURN_IF_ERROR(r.ReadPod(&blocks));
   if (rows <= 0 || block_rows <= 0 ||
-      blocks != static_cast<uint64_t>((rows + block_rows - 1) / block_rows)) {
+      blocks != static_cast<uint64_t>((rows - 1) / block_rows + 1)) {
     return Status::Corruption("implausible panel bounds geometry");
   }
-  if (size != header + 2 * blocks * sizeof(float)) {
+  // Divide rather than multiply: a hostile block count must not wrap the
+  // byte count around to the payload size.
+  constexpr size_t kBlockBytes = 2 * sizeof(float);
+  if (r.remaining() % kBlockBytes != 0 ||
+      r.remaining() / kBlockBytes != blocks) {
     return Status::Corruption("panel bounds payload length mismatch");
   }
   PanelBoundTable t(rows, block_rows);
-  std::memcpy(t.norms_.data(), data + header, blocks * sizeof(float));
-  std::memcpy(t.bias_max_.data(), data + header + blocks * sizeof(float),
-              blocks * sizeof(float));
+  CAME_RETURN_IF_ERROR(r.ReadRaw(t.norms_.data(), blocks * sizeof(float)));
+  CAME_RETURN_IF_ERROR(r.ReadRaw(t.bias_max_.data(), blocks * sizeof(float)));
   for (size_t b = 0; b < blocks; ++b) {
     // A negative or NaN "max norm" can only come from a corrupt or
     // hostile payload; serving with it would make pruning unsound.

@@ -9,90 +9,36 @@
 #include <cerrno>
 #include <cstring>
 #include <utility>
-
 #include <vector>
 
 #include "common/io.h"
 #include "common/logging.h"
+#include "common/section_file.h"
 #include "tensor/qgemm.h"
 
 namespace came::tensor {
 
 namespace {
 
-// Manifest layout (little-endian):
-//   magic   8 bytes "CAMESHD1"
-//   len     u64                  -- payload byte length
-//   payload:
-//     version        u64           -- 1 (fp32) or 2 (quantized)
-//     dtype          u8            -- version 2 only: 1 int8, 2 bf16
-//     rows           i64
-//     dim            i64
-//     rows_per_shard i64
-//     sealed         u8
-//     num_shards     u64
-//     crc[i]         u32 per shard  -- slab payload CRC32 (sealed only)
-//   crc     u32                  -- CRC32 of the payload
-// fp32 stores keep writing version 1 (bit-identical to the format before
-// quantized stores existed), so pre-existing stores and tools stay valid.
-// Panel-pruning bound metadata deliberately lives in a separate advisory
-// sidecar (below) rather than a new manifest version: the manifest is the
-// integrity root and its bytes are pinned by the corruption-matrix tests.
-constexpr char kMagic[8] = {'C', 'A', 'M', 'E', 'S', 'H', 'D', '1'};
-constexpr uint64_t kVersion = 1;
-constexpr uint64_t kQuantVersion = 2;
+// Manifest layout: an io section file (DESIGN.md §8), version 1, with
+// three sections in this order:
+//   META  u8 dtype (0 f32, 1 int8, 2 bf16), i64 rows, i64 dim,
+//         i64 rows_per_shard, u8 sealed
+//   CRCS  u64 num_shards, u32 slab payload CRC32 per shard (sealed only)
+//   BNDS  PanelBoundTable::Encode bytes over the sealed contents; empty
+//         while unsealed
+// The bounds share the manifest's CRC framing and atomic publish with the
+// slab CRCs they were computed beside, so they cannot go stale.
+constexpr char kMagic[] = "CAMESHD1";
+constexpr uint32_t kVersion = 1;
+constexpr uint32_t kSectionMeta = io::FourCc("META");
+constexpr uint32_t kSectionCrcs = io::FourCc("CRCS");
+constexpr uint32_t kSectionBounds = io::FourCc("BNDS");
 constexpr uint64_t kMaxShards = 1ULL << 24;
-
-// Bounds sidecar layout (little-endian):
-//   magic   8 bytes "CAMESHB1"
-//   len     u64                  -- payload byte length
-//   payload:
-//     version u64                  -- 1
-//     tag     u32                  -- CRC32 over the manifest's slab CRCs
-//     bounds  PanelBoundTable::Encode bytes
-//   crc     u32                  -- CRC32 of the payload
-// The tag ties the bounds to the exact sealed contents they were computed
-// from; a mismatch (store re-sealed without the sidecar catching up) reads
-// as corruption and the bounds are rebuilt from the slabs.
-constexpr char kBoundsMagic[8] = {'C', 'A', 'M', 'E', 'S', 'H', 'B', '1'};
-constexpr uint64_t kBoundsVersion = 1;
 
 int64_t PadTo64(int64_t n) { return (n + 63) & ~int64_t{63}; }
 
-template <typename T>
-void AppendPod(std::string* buf, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  buf->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  Status ReadPod(T* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (sizeof(T) > size_ - pos_) {
-      return Status::Corruption("manifest truncated at byte " +
-                                std::to_string(pos_));
-    }
-    std::memcpy(out, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return Status::OK();
-  }
-
-  const char* cursor() const { return data_ + pos_; }
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
 std::string ManifestPath(const std::string& dir) { return dir + "/manifest"; }
-
-std::string BoundsPath(const std::string& dir) { return dir + "/bounds"; }
 
 int64_t ShardBytesDt(int64_t begin, int64_t end, int64_t dim,
                      ShardDtype dtype) {
@@ -304,58 +250,26 @@ Result<ShardStore> ShardStore::Create(const std::string& dir, int64_t rows,
 
 Result<ShardStore> ShardStore::Open(const std::string& dir,
                                     const ShardStoreOptions& options) {
-  std::string raw;
-  CAME_RETURN_IF_ERROR(io::ReadFile(ManifestPath(dir), &raw));
-  if (raw.size() < sizeof(kMagic) + sizeof(uint64_t) + sizeof(uint32_t)) {
-    return Status::Corruption(dir + ": manifest too small");
-  }
-  if (std::memcmp(raw.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption(dir + ": bad shard store magic");
-  }
-  uint64_t payload_len = 0;
-  std::memcpy(&payload_len, raw.data() + sizeof(kMagic), sizeof(payload_len));
-  const size_t framed =
-      sizeof(kMagic) + sizeof(uint64_t) + payload_len + sizeof(uint32_t);
-  if (payload_len > raw.size() || framed != raw.size()) {
-    return Status::Corruption(dir + ": manifest length mismatch");
-  }
-  const char* payload = raw.data() + sizeof(kMagic) + sizeof(uint64_t);
-  uint32_t want_crc = 0;
-  std::memcpy(&want_crc, payload + payload_len, sizeof(want_crc));
-  if (io::Crc32(payload, payload_len) != want_crc) {
-    return Status::Corruption(dir + ": manifest checksum mismatch");
-  }
-
-  Reader r(payload, payload_len);
-  uint64_t version = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&version));
-  if (version != kVersion && version != kQuantVersion) {
-    return Status::Corruption(dir + ": unsupported shard store version " +
-                              std::to_string(version));
-  }
+  io::SectionFileReader file;
+  CAME_RETURN_IF_ERROR(file.Read(ManifestPath(dir), kMagic, kVersion,
+                                 {kSectionMeta, kSectionCrcs, kSectionBounds}));
   ShardStore s;
   s.dir_ = dir;
-  if (version == kQuantVersion) {
+  uint8_t sealed = 0;
+  CAME_RETURN_IF_ERROR(file.Decode(0, [&](io::ByteReader* r) {
     uint8_t dtype_byte = 0;
-    CAME_RETURN_IF_ERROR(r.ReadPod(&dtype_byte));
-    if (dtype_byte != static_cast<uint8_t>(ShardDtype::kInt8) &&
-        dtype_byte != static_cast<uint8_t>(ShardDtype::kBf16)) {
-      return Status::Corruption(dir + ": unknown quantized slab dtype byte " +
+    CAME_RETURN_IF_ERROR(r->ReadPod(&dtype_byte));
+    if (dtype_byte > static_cast<uint8_t>(ShardDtype::kBf16)) {
+      return Status::Corruption(dir + ": unknown slab dtype byte " +
                                 std::to_string(dtype_byte));
     }
     s.dtype_ = static_cast<ShardDtype>(dtype_byte);
-  }
-  uint8_t sealed = 0;
-  uint64_t n_shards = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&s.rows_));
-  CAME_RETURN_IF_ERROR(r.ReadPod(&s.dim_));
-  CAME_RETURN_IF_ERROR(r.ReadPod(&s.rows_per_shard_));
-  CAME_RETURN_IF_ERROR(r.ReadPod(&sealed));
-  CAME_RETURN_IF_ERROR(r.ReadPod(&n_shards));
-  if (s.rows_ <= 0 || s.dim_ <= 0 || s.rows_per_shard_ <= 0 ||
-      n_shards > kMaxShards ||
-      static_cast<int64_t>(n_shards) !=
-          (s.rows_ + s.rows_per_shard_ - 1) / s.rows_per_shard_) {
+    CAME_RETURN_IF_ERROR(r->ReadPod(&s.rows_));
+    CAME_RETURN_IF_ERROR(r->ReadPod(&s.dim_));
+    CAME_RETURN_IF_ERROR(r->ReadPod(&s.rows_per_shard_));
+    return r->ReadPod(&sealed);
+  }));
+  if (s.rows_ <= 0 || s.dim_ <= 0 || s.rows_per_shard_ <= 0 || sealed > 1) {
     return Status::Corruption(dir + ": implausible shard store geometry");
   }
   if (!sealed) {
@@ -365,17 +279,38 @@ Result<ShardStore> ShardStore::Open(const std::string& dir,
   }
   s.sealed_ = true;
   s.max_resident_ = options.max_resident_shards;
-  s.shards_.resize(n_shards);
-  for (uint64_t i = 0; i < n_shards; ++i) {
-    Shard& sh = s.shards_[i];
-    sh.begin = static_cast<int64_t>(i) * s.rows_per_shard_;
-    sh.end = std::min(s.rows_, sh.begin + s.rows_per_shard_);
-    CAME_RETURN_IF_ERROR(r.ReadPod(&sh.crc));
-  }
-  if (r.remaining() != 0) {
-    return Status::Corruption(dir + ": trailing bytes in manifest payload");
-  }
-  for (uint64_t i = 0; i < n_shards; ++i) {
+  CAME_RETURN_IF_ERROR(file.Decode(1, [&](io::ByteReader* r) {
+    uint64_t n_shards = 0;
+    CAME_RETURN_IF_ERROR(r->ReadPod(&n_shards));
+    if (n_shards > kMaxShards || n_shards * sizeof(uint32_t) != r->remaining() ||
+        static_cast<int64_t>(n_shards) !=
+            (s.rows_ - 1) / s.rows_per_shard_ + 1) {
+      return Status::Corruption(dir + ": slab CRC count mismatch");
+    }
+    s.shards_.resize(n_shards);
+    for (uint64_t i = 0; i < n_shards; ++i) {
+      Shard& sh = s.shards_[i];
+      sh.begin = static_cast<int64_t>(i) * s.rows_per_shard_;
+      sh.end = std::min(s.rows_, sh.begin + s.rows_per_shard_);
+      CAME_RETURN_IF_ERROR(r->ReadPod(&sh.crc));
+    }
+    return Status::OK();
+  }));
+  CAME_RETURN_IF_ERROR(file.Decode(2, [&](io::ByteReader* r) {
+    const size_t n = r->remaining();
+    const char* payload = nullptr;
+    CAME_RETURN_IF_ERROR(r->ReadSpan(n, &payload));
+    Result<PanelBoundTable> bounds = PanelBoundTable::Decode(payload, n);
+    if (!bounds.ok()) return bounds.status();
+    if (bounds.value().rows() != s.rows_) {
+      return Status::Corruption(dir + ": panel bounds cover " +
+                                std::to_string(bounds.value().rows()) +
+                                " rows, store has " + std::to_string(s.rows_));
+    }
+    s.bounds_ = std::move(bounds).value();
+    return Status::OK();
+  }));
+  for (size_t i = 0; i < s.shards_.size(); ++i) {
     const Shard& sh = s.shards_[i];
     const std::string path = s.SlabPath(static_cast<int64_t>(i));
     if (options.verify_on_open) {
@@ -394,17 +329,6 @@ Result<ShardStore> ShardStore::Open(const std::string& dir,
         return Status::Corruption(path + ": slab size mismatch");
       }
     }
-  }
-  // The bounds sidecar is advisory: stores sealed before it existed (or
-  // with a stale/corrupt/truncated sidecar) rebuild the bounds from the
-  // slabs in one streaming pass and rewrite it best-effort. Integrity is
-  // never weakened — an unusable sidecar costs a rebuild, not soundness.
-  const Status side = s.LoadBoundsSidecar();
-  if (!side.ok()) {
-    CAME_LOG(Info) << dir << ": rebuilding panel bounds ("
-                   << side.message() << ")";
-    CAME_RETURN_IF_ERROR(s.ComputeBounds());
-    s.WriteBoundsSidecar().LogIfError("shard store bounds sidecar rewrite");
   }
   return s;
 }
@@ -499,107 +423,27 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
   // Slabs and CRCs are durable; publish the sealed manifest directly —
   // a quantized store is never served unsealed.
   CAME_RETURN_IF_ERROR(s.WriteManifest(/*sealed=*/true));
-  s.WriteBoundsSidecar().LogIfError("shard store bounds sidecar write");
   return s;
 }
 
 Status ShardStore::WriteManifest(bool sealed) {
-  std::string payload;
-  if (dtype_ == ShardDtype::kF32) {
-    AppendPod(&payload, kVersion);
-  } else {
-    AppendPod(&payload, kQuantVersion);
-    AppendPod(&payload, static_cast<uint8_t>(dtype_));
-  }
-  AppendPod(&payload, rows_);
-  AppendPod(&payload, dim_);
-  AppendPod(&payload, rows_per_shard_);
-  AppendPod(&payload, static_cast<uint8_t>(sealed ? 1 : 0));
-  AppendPod(&payload, static_cast<uint64_t>(shards_.size()));
-  for (const Shard& sh : shards_) AppendPod(&payload, sh.crc);
-
-  std::string file;
-  file.append(kMagic, sizeof(kMagic));
-  AppendPod(&file, static_cast<uint64_t>(payload.size()));
-  file += payload;
-  AppendPod(&file, io::Crc32(payload.data(), payload.size()));
-  CAME_RETURN_IF_ERROR(
-      io::WriteFileAtomic(ManifestPath(dir_), file.data(), file.size()));
-  sealed_ = sealed;
-  return Status::OK();
-}
-
-uint32_t ShardStore::BoundsTag() const {
+  CAME_CHECK(!sealed || !bounds_.empty()) << "sealing without panel bounds";
+  std::string meta;
+  io::AppendPod(&meta, static_cast<uint8_t>(dtype_));
+  io::AppendPod(&meta, rows_);
+  io::AppendPod(&meta, dim_);
+  io::AppendPod(&meta, rows_per_shard_);
+  io::AppendPod(&meta, static_cast<uint8_t>(sealed ? 1 : 0));
   std::string crcs;
-  for (const Shard& sh : shards_) AppendPod(&crcs, sh.crc);
-  return io::Crc32(crcs.data(), crcs.size());
-}
+  io::AppendPod(&crcs, static_cast<uint64_t>(shards_.size()));
+  for (const Shard& sh : shards_) io::AppendPod(&crcs, sh.crc);
 
-Status ShardStore::WriteBoundsSidecar() const {
-  if (in_ram()) return Status::OK();
-  if (bounds_.empty()) {
-    return Status::FailedPrecondition("no panel bounds computed yet");
-  }
-  std::string payload;
-  AppendPod(&payload, kBoundsVersion);
-  AppendPod(&payload, BoundsTag());
-  payload += bounds_.Encode();
-
-  std::string file;
-  file.append(kBoundsMagic, sizeof(kBoundsMagic));
-  AppendPod(&file, static_cast<uint64_t>(payload.size()));
-  file += payload;
-  AppendPod(&file, io::Crc32(payload.data(), payload.size()));
-  return io::WriteFileAtomic(BoundsPath(dir_), file.data(), file.size());
-}
-
-Status ShardStore::LoadBoundsSidecar() {
-  std::string raw;
-  CAME_RETURN_IF_ERROR(io::ReadFile(BoundsPath(dir_), &raw));
-  if (raw.size() < sizeof(kBoundsMagic) + sizeof(uint64_t) +
-                       sizeof(uint32_t)) {
-    return Status::Corruption(dir_ + ": bounds sidecar too small");
-  }
-  if (std::memcmp(raw.data(), kBoundsMagic, sizeof(kBoundsMagic)) != 0) {
-    return Status::Corruption(dir_ + ": bad bounds sidecar magic");
-  }
-  uint64_t payload_len = 0;
-  std::memcpy(&payload_len, raw.data() + sizeof(kBoundsMagic),
-              sizeof(payload_len));
-  const size_t framed = sizeof(kBoundsMagic) + sizeof(uint64_t) +
-                        payload_len + sizeof(uint32_t);
-  if (payload_len > raw.size() || framed != raw.size()) {
-    return Status::Corruption(dir_ + ": bounds sidecar length mismatch");
-  }
-  const char* payload = raw.data() + sizeof(kBoundsMagic) + sizeof(uint64_t);
-  uint32_t want_crc = 0;
-  std::memcpy(&want_crc, payload + payload_len, sizeof(want_crc));
-  if (io::Crc32(payload, payload_len) != want_crc) {
-    return Status::Corruption(dir_ + ": bounds sidecar checksum mismatch");
-  }
-
-  Reader r(payload, payload_len);
-  uint64_t version = 0;
-  uint32_t tag = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&version));
-  if (version != kBoundsVersion) {
-    return Status::Corruption(dir_ + ": unsupported bounds sidecar version " +
-                              std::to_string(version));
-  }
-  CAME_RETURN_IF_ERROR(r.ReadPod(&tag));
-  if (tag != BoundsTag()) {
-    return Status::Corruption(
-        dir_ + ": bounds sidecar is stale (slab CRC tag mismatch)");
-  }
-  Result<PanelBoundTable> table =
-      PanelBoundTable::Decode(r.cursor(), r.remaining());
-  if (!table.ok()) return table.status();
-  if (table.value().rows() != rows_) {
-    return Status::Corruption(dir_ + ": bounds sidecar covers " +
-                              std::to_string(table.value().rows()) +
-                              " rows, store has " + std::to_string(rows_));
-  }
-  bounds_ = std::move(table).value();
+  io::SectionFileWriter file(kMagic, kVersion);
+  file.AppendSection(kSectionMeta, meta);
+  file.AppendSection(kSectionCrcs, crcs);
+  file.AppendSection(kSectionBounds, sealed ? bounds_.Encode() : std::string());
+  CAME_RETURN_IF_ERROR(file.Commit(ManifestPath(dir_)));
+  sealed_ = sealed;
   return Status::OK();
 }
 
@@ -862,9 +706,7 @@ Status ShardStore::Seal() {
   // Bounds stream through the panel accessors, which take mu_ themselves —
   // compute them before (and outside) the manifest publish.
   CAME_RETURN_IF_ERROR(ComputeBounds());
-  CAME_RETURN_IF_ERROR(WriteManifest(/*sealed=*/true));
-  WriteBoundsSidecar().LogIfError("shard store bounds sidecar write");
-  return Status::OK();
+  return WriteManifest(/*sealed=*/true);
 }
 
 uint32_t ShardStore::ContentCrc32() {

@@ -41,12 +41,11 @@ struct ShardStoreOptions {
 /// matrices grow past RAM.
 ///
 /// Layout on disk (`dir/`):
-///   * `manifest` — versioned, CRC-framed metadata (magic "CAMESHD1",
-///     written atomically via the crash-safe temp+fsync+rename path):
-///     shape, slab geometry, a sealed flag, and one payload CRC32 per
-///     slab. fp32 stores write manifest version 1 (bit-identical to the
-///     pre-quantization format); quantized stores write version 2, which
-///     adds one dtype byte after the version field.
+///   * `manifest` — CRC-framed section file (magic "CAMESHD1", DESIGN.md
+///     §8, written atomically via the crash-safe temp+fsync+rename path):
+///     dtype, shape, slab geometry, a sealed flag, one payload CRC32 per
+///     slab, and — once sealed — the per-block PanelBoundTable the
+///     serving layer's panel pruning uses.
 ///   * `slab_<i>.bin` — raw little-endian payload of rows
 ///     [i*rows_per_shard, min((i+1)*rows_per_shard, rows)), no header,
 ///     so a mapped slab is directly addressable at element alignment.
@@ -54,22 +53,14 @@ struct ShardStoreOptions {
 ///     rows, zero-padded to a 64-byte boundary, followed by one fp32
 ///     dequantization scale per row (the padding keeps the scale block
 ///     float-aligned inside the mapping).
-///   * `bounds` — advisory CRC-framed sidecar (magic "CAMESHB1") holding
-///     the per-block PanelBoundTable the serving layer's panel pruning
-///     uses, tagged with a CRC over the manifest's slab CRCs. The
-///     manifest format itself never changes for this: a missing, stale
-///     or corrupt sidecar is rebuilt from the slabs on Open (one
-///     streaming pass) and rewritten, so pre-existing stores keep
-///     loading bit-for-bit and a bad sidecar can never produce an
-///     unsound bound.
 ///
 /// Lifecycle: `Create` makes zero-filled slabs and an *unsealed*
 /// manifest; mutate rows freely; `Seal()` msyncs every dirty slab,
 /// recomputes payload CRCs and the panel bounds, and atomically
-/// publishes the sealed manifest. `Open` accepts sealed stores only and
-/// (by default) verifies every slab CRC, so a bit-flipped, truncated, or
-/// trailing-garbage slab or manifest surfaces as `Corruption` instead
-/// of being served.
+/// publishes the sealed manifest that carries both. `Open` accepts
+/// sealed stores only and (by default) verifies every slab CRC, so a
+/// bit-flipped, truncated, or trailing-garbage slab or manifest surfaces
+/// as `Corruption` instead of being served. `Open` writes nothing.
 ///
 /// `InRam` builds the one-shard special case — a single anonymous
 /// mapping, always resident, no files — through the identical row/panel
@@ -167,16 +158,16 @@ class ShardStore {
 
   /// Per-block score-bound metadata over the store's rows (no bias —
   /// shard-backed serving is inner-product only). Empty — meaning "never
-  /// prune" — until Seal()/Quantize computes it or Open loads/rebuilds
-  /// it; MutableRow drops it. Do not call concurrently with mutation.
+  /// prune" — until Seal()/Quantize computes it or Open loads it from
+  /// the manifest; MutableRow drops it. Do not call concurrently with mutation.
   const PanelBoundTable& bounds() const { return bounds_; }
 
   /// Exclusive end of the slab containing `row` (clamped to rows()).
   int64_t ShardEnd(int64_t row) const;
 
   /// msync every dirty slab, recompute payload CRCs and panel bounds,
-  /// atomically publish a sealed manifest and rewrite the bounds
-  /// sidecar. In-RAM stores: computes bounds only. Idempotent.
+  /// and atomically publish a sealed manifest carrying both. In-RAM
+  /// stores: computes bounds only. Idempotent.
   Status Seal() CAME_EXCLUDES(mu_);
 
   /// Row-order CRC32 over the full table contents (parity tests and the
@@ -226,10 +217,6 @@ class ShardStore {
   Status WriteManifest(bool sealed);
   /// Streams every slab and rebuilds bounds_ from the payload bytes.
   Status ComputeBounds() CAME_EXCLUDES(mu_);
-  /// CRC over the manifest's slab-CRC array: the sidecar staleness tag.
-  uint32_t BoundsTag() const;
-  Status WriteBoundsSidecar() const;
-  Status LoadBoundsSidecar();
   void MoveFrom(ShardStore&& other);
   void ReleaseAll();
 

@@ -1,155 +1,39 @@
 #include "train/checkpoint.h"
 
-#include <cstring>
+#include <utility>
 
-#include "common/io.h"
 #include "common/logging.h"
+#include "common/section_file.h"
+#include "tensor/tensor_codec.h"
 
 namespace came::train {
 
 namespace {
 
-// File layout (version 1, little-endian):
-//   magic   8 bytes "CAMECKP1"
-//   version u32
-//   count   u32                     -- number of sections (always 4)
-//   sections, each:
-//     id    u32 fourcc              -- MODL, OPTM, RNGS, TRNR in order
-//     len   u64                     -- payload byte length
-//     crc   u32                     -- CRC32 of the payload
-//     payload
-//   (no trailing bytes)
-constexpr char kMagic[8] = {'C', 'A', 'M', 'E', 'C', 'K', 'P', '1'};
+// Layout: an io section file (DESIGN.md §8), version 1, with four
+// sections in this order:
+//   MODL  named parameter tensors (tensor::AppendNamedTensors)
+//   OPTM  i64 adam_step, u64 count, count m tensors, count v tensors
+//   RNGS  u64 count, per stream u64 s[4], u8 has_cached_normal,
+//         f64 cached_normal
+//   TRNR  i64 epochs_run, u8 has_best, the best eval::Metrics fields,
+//         u64 count, count snapshot tensors
+constexpr char kMagic[] = "CAMECKP1";
 constexpr uint32_t kVersion = 1;
 
-constexpr uint32_t FourCc(char a, char b, char c, char d) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(a)) |
-         static_cast<uint32_t>(static_cast<unsigned char>(b)) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(c)) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(d)) << 24;
-}
+constexpr uint32_t kSectionModel = io::FourCc("MODL");
+constexpr uint32_t kSectionOptim = io::FourCc("OPTM");
+constexpr uint32_t kSectionRngs = io::FourCc("RNGS");
+constexpr uint32_t kSectionTrainer = io::FourCc("TRNR");
 
-constexpr uint32_t kSectionModel = FourCc('M', 'O', 'D', 'L');
-constexpr uint32_t kSectionOptim = FourCc('O', 'P', 'T', 'M');
-constexpr uint32_t kSectionRngs = FourCc('R', 'N', 'G', 'S');
-constexpr uint32_t kSectionTrainer = FourCc('T', 'R', 'N', 'R');
-
-// Structural sanity bounds: generous for any real model, tight enough
-// that a bit-flipped length field cannot drive a huge allocation.
-constexpr uint64_t kMaxSectionBytes = 1ULL << 33;  // 8 GiB
-constexpr uint64_t kMaxNameLen = 4096;
-constexpr uint64_t kMaxNdim = 8;
 constexpr uint64_t kMaxTensors = 1ULL << 20;
 
-// --- little-endian append helpers --------------------------------------
-
-template <typename T>
-void AppendPod(std::string* buf, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  buf->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-void AppendTensor(std::string* buf, const tensor::Tensor& t) {
-  AppendPod(buf, static_cast<uint32_t>(t.ndim()));
-  for (int64_t d : t.shape()) AppendPod(buf, d);
-  buf->append(reinterpret_cast<const char*>(t.data()),
-              static_cast<size_t>(t.numel()) * sizeof(float));
-}
-
-// --- bounds-checked reader ----------------------------------------------
-
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  Status ReadRaw(void* out, size_t n) {
-    if (n > size_ - pos_) {
-      return Status::Corruption("checkpoint truncated at byte " +
-                                std::to_string(pos_));
-    }
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status ReadPod(T* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return ReadRaw(out, sizeof(T));
-  }
-
-  Status ReadTensor(tensor::Tensor* out) {
-    uint32_t ndim = 0;
-    CAME_RETURN_IF_ERROR(ReadPod(&ndim));
-    if (ndim > kMaxNdim) {
-      return Status::Corruption("tensor ndim out of range: " +
-                                std::to_string(ndim));
-    }
-    tensor::Shape shape(ndim);
-    for (auto& d : shape) {
-      CAME_RETURN_IF_ERROR(ReadPod(&d));
-      if (d < 0 || static_cast<uint64_t>(d) > kMaxSectionBytes) {
-        return Status::Corruption("tensor dimension out of range");
-      }
-    }
-    const int64_t numel = tensor::NumElements(shape);
-    if (numel < 0 ||
-        static_cast<uint64_t>(numel) * sizeof(float) > remaining()) {
-      return Status::Corruption("tensor data exceeds section");
-    }
-    tensor::Tensor t(std::move(shape));
-    CAME_RETURN_IF_ERROR(
-        ReadRaw(t.data(), static_cast<size_t>(numel) * sizeof(float)));
-    *out = std::move(t);
-    return Status::OK();
-  }
-
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
+using io::AppendPod;
+using io::ByteReader;
+using tensor::AppendTensor;
+using tensor::ReadTensor;
 
 // --- section payloads ----------------------------------------------------
-
-std::string EncodeModelSection(const CheckpointState& s) {
-  std::string buf;
-  AppendPod(&buf, static_cast<uint64_t>(s.params.size()));
-  for (const auto& [name, t] : s.params) {
-    AppendPod(&buf, static_cast<uint32_t>(name.size()));
-    buf.append(name);
-    AppendTensor(&buf, t);
-  }
-  return buf;
-}
-
-Status DecodeModelSection(Reader* r, CheckpointState* s) {
-  uint64_t count = 0;
-  CAME_RETURN_IF_ERROR(r->ReadPod(&count));
-  if (count > kMaxTensors) {
-    return Status::Corruption("parameter count out of range");
-  }
-  s->params.clear();
-  s->params.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t name_len = 0;
-    CAME_RETURN_IF_ERROR(r->ReadPod(&name_len));
-    if (name_len > kMaxNameLen) {
-      return Status::Corruption("parameter name length out of range");
-    }
-    std::string name(name_len, 0);
-    CAME_RETURN_IF_ERROR(r->ReadRaw(name.data(), name_len));
-    tensor::Tensor t;
-    CAME_RETURN_IF_ERROR(r->ReadTensor(&t));
-    s->params.emplace_back(std::move(name), std::move(t));
-  }
-  if (r->remaining() != 0) {
-    return Status::Corruption("trailing bytes in model section");
-  }
-  return Status::OK();
-}
 
 std::string EncodeOptimSection(const CheckpointState& s) {
   std::string buf;
@@ -160,23 +44,22 @@ std::string EncodeOptimSection(const CheckpointState& s) {
   return buf;
 }
 
-Status DecodeOptimSection(Reader* r, CheckpointState* s) {
+Status DecodeOptimSection(ByteReader* r, CheckpointState* s) {
   CAME_RETURN_IF_ERROR(r->ReadPod(&s->adam_step));
   if (s->adam_step < 0) {
     return Status::Corruption("negative Adam step count");
   }
   uint64_t count = 0;
   CAME_RETURN_IF_ERROR(r->ReadPod(&count));
-  if (count > kMaxTensors) {
+  // Each tensor takes at least its 4-byte ndim; a count the payload
+  // cannot hold is rejected before the vectors are sized.
+  if (count > kMaxTensors || count > r->remaining() / 8) {
     return Status::Corruption("Adam moment count out of range");
   }
   s->adam_m.assign(count, tensor::Tensor());
   s->adam_v.assign(count, tensor::Tensor());
-  for (auto& t : s->adam_m) CAME_RETURN_IF_ERROR(r->ReadTensor(&t));
-  for (auto& t : s->adam_v) CAME_RETURN_IF_ERROR(r->ReadTensor(&t));
-  if (r->remaining() != 0) {
-    return Status::Corruption("trailing bytes in optimizer section");
-  }
+  for (auto& t : s->adam_m) CAME_RETURN_IF_ERROR(ReadTensor(r, &t));
+  for (auto& t : s->adam_v) CAME_RETURN_IF_ERROR(ReadTensor(r, &t));
   return Status::OK();
 }
 
@@ -191,7 +74,7 @@ std::string EncodeRngSection(const CheckpointState& s) {
   return buf;
 }
 
-Status DecodeRngSection(Reader* r, CheckpointState* s) {
+Status DecodeRngSection(ByteReader* r, CheckpointState* s) {
   uint64_t count = 0;
   CAME_RETURN_IF_ERROR(r->ReadPod(&count));
   if (count > 1024) {
@@ -205,9 +88,6 @@ Status DecodeRngSection(Reader* r, CheckpointState* s) {
     if (flag > 1) return Status::Corruption("bad rng cache flag");
     st.has_cached_normal = flag == 1;
     CAME_RETURN_IF_ERROR(r->ReadPod(&st.cached_normal));
-  }
-  if (r->remaining() != 0) {
-    return Status::Corruption("trailing bytes in rng section");
   }
   return Status::OK();
 }
@@ -227,7 +107,7 @@ std::string EncodeTrainerSection(const CheckpointState& s) {
   return buf;
 }
 
-Status DecodeTrainerSection(Reader* r, CheckpointState* s) {
+Status DecodeTrainerSection(ByteReader* r, CheckpointState* s) {
   CAME_RETURN_IF_ERROR(r->ReadPod(&s->epochs_run));
   if (s->epochs_run < 0) {
     return Status::Corruption("negative epoch counter");
@@ -244,105 +124,45 @@ Status DecodeTrainerSection(Reader* r, CheckpointState* s) {
   CAME_RETURN_IF_ERROR(r->ReadPod(&s->best.count));
   uint64_t count = 0;
   CAME_RETURN_IF_ERROR(r->ReadPod(&count));
-  if (count > kMaxTensors) {
+  if (count > kMaxTensors || count > r->remaining() / 4) {
     return Status::Corruption("snapshot tensor count out of range");
   }
   s->best_snapshot.assign(count, tensor::Tensor());
-  for (auto& t : s->best_snapshot) CAME_RETURN_IF_ERROR(r->ReadTensor(&t));
-  if (r->remaining() != 0) {
-    return Status::Corruption("trailing bytes in trainer section");
-  }
+  for (auto& t : s->best_snapshot) CAME_RETURN_IF_ERROR(ReadTensor(r, &t));
   return Status::OK();
-}
-
-void AppendSection(std::string* file, uint32_t id, const std::string& payload) {
-  AppendPod(file, id);
-  AppendPod(file, static_cast<uint64_t>(payload.size()));
-  AppendPod(file, io::Crc32(payload.data(), payload.size()));
-  file->append(payload);
 }
 
 }  // namespace
 
 Status WriteCheckpoint(const std::string& path, const CheckpointState& state) {
-  std::string file;
-  file.append(kMagic, sizeof(kMagic));
-  AppendPod(&file, kVersion);
-  AppendPod(&file, static_cast<uint32_t>(4));
-  AppendSection(&file, kSectionModel, EncodeModelSection(state));
-  AppendSection(&file, kSectionOptim, EncodeOptimSection(state));
-  AppendSection(&file, kSectionRngs, EncodeRngSection(state));
-  AppendSection(&file, kSectionTrainer, EncodeTrainerSection(state));
-  return io::WriteFileAtomic(path, file.data(), file.size());
+  std::string model;
+  tensor::AppendNamedTensors(&model, state.params);
+  io::SectionFileWriter file(kMagic, kVersion);
+  file.AppendSection(kSectionModel, model);
+  file.AppendSection(kSectionOptim, EncodeOptimSection(state));
+  file.AppendSection(kSectionRngs, EncodeRngSection(state));
+  file.AppendSection(kSectionTrainer, EncodeTrainerSection(state));
+  return file.Commit(path);
 }
 
 Status ReadCheckpoint(const std::string& path, CheckpointState* out) {
   CAME_CHECK(out != nullptr);
-  std::string file;
-  CAME_RETURN_IF_ERROR(io::ReadFile(path, &file));
-  Reader r(file.data(), file.size());
-
-  char magic[8];
-  CAME_RETURN_IF_ERROR(r.ReadRaw(magic, sizeof(magic)));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption(path + ": not a CamE checkpoint (bad magic)");
-  }
-  uint32_t version = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&version));
-  if (version != kVersion) {
-    return Status::InvalidArgument(path + ": unsupported checkpoint version " +
-                                   std::to_string(version));
-  }
-  uint32_t section_count = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&section_count));
-  if (section_count != 4) {
-    return Status::Corruption(path + ": expected 4 sections, found " +
-                              std::to_string(section_count));
-  }
-
-  constexpr uint32_t kExpectedOrder[4] = {kSectionModel, kSectionOptim,
-                                          kSectionRngs, kSectionTrainer};
-  for (uint32_t idx = 0; idx < 4; ++idx) {
-    uint32_t id = 0;
-    uint64_t len = 0;
-    uint32_t crc = 0;
-    CAME_RETURN_IF_ERROR(r.ReadPod(&id));
-    CAME_RETURN_IF_ERROR(r.ReadPod(&len));
-    CAME_RETURN_IF_ERROR(r.ReadPod(&crc));
-    if (id != kExpectedOrder[idx]) {
-      return Status::Corruption(path + ": unexpected section id at index " +
-                                std::to_string(idx));
-    }
-    if (len > kMaxSectionBytes || len > r.remaining()) {
-      return Status::Corruption(path + ": section length out of range");
-    }
-    std::string payload(len, 0);
-    CAME_RETURN_IF_ERROR(r.ReadRaw(payload.data(), len));
-    if (io::Crc32(payload.data(), payload.size()) != crc) {
-      return Status::Corruption(path + ": CRC mismatch in section " +
-                                std::to_string(idx));
-    }
-    Reader pr(payload.data(), payload.size());
-    switch (id) {
-      case kSectionModel:
-        CAME_RETURN_IF_ERROR(DecodeModelSection(&pr, out));
-        break;
-      case kSectionOptim:
-        CAME_RETURN_IF_ERROR(DecodeOptimSection(&pr, out));
-        break;
-      case kSectionRngs:
-        CAME_RETURN_IF_ERROR(DecodeRngSection(&pr, out));
-        break;
-      case kSectionTrainer:
-        CAME_RETURN_IF_ERROR(DecodeTrainerSection(&pr, out));
-        break;
-      default:
-        return Status::Corruption("unreachable section id");
-    }
-  }
-  if (r.remaining() != 0) {
-    return Status::Corruption(path + ": trailing bytes after last section");
-  }
+  io::SectionFileReader file;
+  CAME_RETURN_IF_ERROR(file.Read(
+      path, kMagic, kVersion,
+      {kSectionModel, kSectionOptim, kSectionRngs, kSectionTrainer}));
+  // Decode into a scratch state so a failure leaves `*out` untouched.
+  CheckpointState s;
+  CAME_RETURN_IF_ERROR(file.Decode(0, [&](ByteReader* r) {
+    return tensor::ReadNamedTensors(r, &s.params);
+  }));
+  CAME_RETURN_IF_ERROR(
+      file.Decode(1, [&](ByteReader* r) { return DecodeOptimSection(r, &s); }));
+  CAME_RETURN_IF_ERROR(
+      file.Decode(2, [&](ByteReader* r) { return DecodeRngSection(r, &s); }));
+  CAME_RETURN_IF_ERROR(file.Decode(
+      3, [&](ByteReader* r) { return DecodeTrainerSection(r, &s); }));
+  *out = std::move(s);
   return Status::OK();
 }
 

@@ -48,7 +48,7 @@ Status WriteCheckpoint(const std::string& path, const CheckpointState& state);
 
 /// Parses a checkpoint written by WriteCheckpoint. Verifies the magic,
 /// version, per-section CRCs and all structural bounds; any mismatch
-/// yields a non-OK Status and leaves `*out` unspecified but valid.
+/// yields a non-OK Status and leaves `*out` untouched.
 Status ReadCheckpoint(const std::string& path, CheckpointState* out);
 
 }  // namespace came::train

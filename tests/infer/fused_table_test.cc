@@ -1,14 +1,12 @@
-// FusedEmbeddingTable on-disk format: bitwise round-trips, and every
-// corruption (bit flip, truncation, bad magic, trailing bytes) must load
-// as an error — never be served.
+// FusedEmbeddingTable on-disk format: bitwise round-trips. The corruption
+// cases run in the shared section-file suite
+// (tests/integration/format_corruption_test.cc).
 #include "infer/fused_embedding_table.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "common/status.h"
@@ -19,17 +17,6 @@ namespace {
 
 std::string TmpPath(const std::string& tag) {
   return ::testing::TempDir() + "came_fused_table_" + tag + ".bin";
-}
-
-std::string Slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void Dump(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 FusedEmbeddingTable SyntheticTable() {
@@ -85,7 +72,7 @@ TEST(FusedTableFormatTest, AbsentBiasAndFoldRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(FusedTableFormatTest, BoundsRoundTripThroughBndsSection) {
+TEST(FusedTableFormatTest, LoadRecomputesBounds) {
   const std::string path = TmpPath("bounds");
   const FusedEmbeddingTable table = SyntheticTable();
   ASSERT_FALSE(table.bounds().empty());
@@ -93,94 +80,6 @@ TEST(FusedTableFormatTest, BoundsRoundTripThroughBndsSection) {
   FusedEmbeddingTable loaded;
   ASSERT_TRUE(FusedEmbeddingTable::Load(path, &loaded).ok());
   EXPECT_EQ(loaded.bounds(), table.bounds());
-  std::remove(path.c_str());
-}
-
-TEST(FusedTableFormatTest, LegacyFourSectionFileLoadsWithRebuiltBounds) {
-  // Files written before the BNDS section carry 4 sections; they must
-  // still load, with bounds recomputed from the candidate rows.
-  const std::string path = TmpPath("legacy");
-  const FusedEmbeddingTable table = SyntheticTable();
-  ASSERT_TRUE(table.Save(path).ok());
-  std::string bytes = Slurp(path);
-  // Walk the first four sections (magic 8 + version 4 + count 4 = 16
-  // header bytes; each section is id u32 + len u64 + crc u32 + payload)
-  // and drop everything after them.
-  size_t off = 16;
-  for (int sec = 0; sec < 4; ++sec) {
-    uint64_t len = 0;
-    ASSERT_LE(off + 16, bytes.size());
-    std::memcpy(&len, bytes.data() + off + 4, sizeof(len));
-    off += 16 + static_cast<size_t>(len);
-  }
-  ASSERT_LT(off, bytes.size()) << "expected a trailing BNDS section";
-  std::string legacy = bytes.substr(0, off);
-  const uint32_t four = 4;
-  std::memcpy(legacy.data() + 12, &four, sizeof(four));
-  Dump(path, legacy);
-
-  FusedEmbeddingTable loaded;
-  ASSERT_TRUE(FusedEmbeddingTable::Load(path, &loaded).ok());
-  ExpectBitwiseEqual(loaded.candidates(), table.candidates());
-  // Rebuilt-on-construction bounds equal the persisted ones (both come
-  // from the same rows through the same accounting).
-  EXPECT_EQ(loaded.bounds(), table.bounds());
-  std::remove(path.c_str());
-}
-
-TEST(FusedTableFormatTest, EveryBitFlipIsRejected) {
-  const std::string path = TmpPath("bitflip");
-  ASSERT_TRUE(SyntheticTable().Save(path).ok());
-  const std::string good = Slurp(path);
-  ASSERT_FALSE(good.empty());
-  // Flip one byte at a stride of positions across the whole file; the
-  // CRCs (or the magic/length checks) must catch each one.
-  for (size_t i = 0; i < good.size(); i += 7) {
-    std::string bad = good;
-    bad[i] = static_cast<char>(bad[i] ^ 0x40);
-    Dump(path, bad);
-    FusedEmbeddingTable out;
-    EXPECT_FALSE(FusedEmbeddingTable::Load(path, &out).ok())
-        << "bit flip at byte " << i << " was accepted";
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FusedTableFormatTest, TruncationIsCorruption) {
-  const std::string path = TmpPath("truncated");
-  ASSERT_TRUE(SyntheticTable().Save(path).ok());
-  const std::string good = Slurp(path);
-  for (const size_t keep : {good.size() - 1, good.size() / 2, size_t{4}}) {
-    Dump(path, good.substr(0, keep));
-    FusedEmbeddingTable out;
-    EXPECT_EQ(FusedEmbeddingTable::Load(path, &out).code(),
-              Status::Code::kCorruption)
-        << "truncated to " << keep << " bytes";
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FusedTableFormatTest, BadMagicIsCorruption) {
-  const std::string path = TmpPath("magic");
-  ASSERT_TRUE(SyntheticTable().Save(path).ok());
-  std::string bad = Slurp(path);
-  bad[0] = 'X';
-  Dump(path, bad);
-  FusedEmbeddingTable out;
-  EXPECT_EQ(FusedEmbeddingTable::Load(path, &out).code(),
-            Status::Code::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST(FusedTableFormatTest, TrailingBytesAreCorruption) {
-  const std::string path = TmpPath("trailing");
-  ASSERT_TRUE(SyntheticTable().Save(path).ok());
-  std::string padded = Slurp(path);
-  padded.push_back('\0');
-  Dump(path, padded);
-  FusedEmbeddingTable out;
-  EXPECT_EQ(FusedEmbeddingTable::Load(path, &out).code(),
-            Status::Code::kCorruption);
   std::remove(path.c_str());
 }
 

@@ -235,9 +235,7 @@ TEST_F(QuantScoreServerTest, DtypePlumbingAndAccessors) {
   EXPECT_EQ(bf16_server_->score_dtype(), ScoreDtype::kBf16);
   EXPECT_EQ(int8_server_->quantized_table().dtype(), ScoreDtype::kInt8);
   EXPECT_EQ(bf16_server_->quantized_table().dtype(), ScoreDtype::kBf16);
-  // A fused-table quantized server still exposes the fp32 table it was
-  // built from; a plain fp32 server has no quantized table.
-  EXPECT_EQ(&int8_server_->table(), &table_);
+  // A plain fp32 server has no quantized table.
   ScoreServer fp32(EncodeQueriesFixture, &table_);
   EXPECT_EQ(fp32.score_dtype(), ScoreDtype::kFp32);
   EXPECT_DEATH(fp32.quantized_table(), "");

@@ -710,10 +710,5 @@ TEST_F(ShardBackedServerTest, FilteredRankAndOptionsMatchInRamServer) {
   }
 }
 
-TEST_F(ShardBackedServerTest, ShardServerHasNoFusedTable) {
-  EXPECT_EQ(shard_server_->num_entities(), kN);
-  EXPECT_DEATH(shard_server_->table(), "not backed by a fused table");
-}
-
 }  // namespace
 }  // namespace came::infer

@@ -7,6 +7,7 @@
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 #include "common/io.h"
+#include "common/section_file.h"
 #include "nn/init.h"
 #include "nn/layers.h"
 #include "nn/module.h"
@@ -166,8 +167,9 @@ TEST(ModuleTest, SnapshotRestoreRoundTrip) {
     v.mutable_value().Fill(99.0f);
   }
   m.RestoreParameters(snapshot);
+  const auto named = m.NamedParameters();
   for (size_t i = 0; i < snapshot.size(); ++i) {
-    const auto& [name, p] = m.NamedParameters()[i];
+    const auto& [name, p] = named[i];
     for (int64_t j = 0; j < p.numel(); ++j) {
       EXPECT_EQ(p.value().data()[j], snapshot[i].data()[j]) << name;
     }
@@ -218,37 +220,74 @@ TEST(ModuleTest, LoadRejectsGarbageFile) {
   std::remove(path.c_str());
 }
 
-TEST(ModuleTest, LoadRejectsTruncatedFileWithoutMutating) {
-  Rng rng(24);
-  ToyModule a(&rng);
-  const std::string path = "/tmp/came_module_trunc.bin";
-  ASSERT_TRUE(a.SaveParameters(path).ok());
-  std::string data;
-  ASSERT_TRUE(io::ReadFile(path, &data).ok());
+// Regression cases from the raw parameter layout this format replaced:
+// it had no CRC and no end check, so it loaded a flipped data byte and
+// trailing garbage with OK, and it allocated a corrupt shape before
+// reading it (a dim of 2^36 ended in std::bad_alloc). Each must now fail
+// and leave the module untouched. The general corruption cases run in
+// tests/integration/format_corruption_test.cc.
+class ModuleParamsRegressionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Rng rng(24);
+    ToyModule saved(&rng);
+    ASSERT_TRUE(saved.SaveParameters(path_).ok());
+    ASSERT_TRUE(io::ReadFile(path_, &good_).ok());
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
 
-  Rng rng2(77);
-  ToyModule b(&rng2);
-  const auto before = b.SnapshotParameters();
-  // Truncation anywhere strictly inside the payload must be rejected and
-  // must leave every parameter of `b` untouched (all-or-nothing load).
-  const size_t len = data.size();
-  for (size_t cut : {size_t{2}, size_t{10}, size_t{21}, len / 2, len - 1}) {
-    ASSERT_LT(cut, len);
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(data.data(), static_cast<std::streamsize>(cut));
-    }
-    EXPECT_FALSE(b.LoadParameters(path).ok()) << "cut at " << cut;
-    const auto after = b.SnapshotParameters();
+  void Write(const std::string& bytes) {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  // Loads the file into a fresh module and checks nothing changed.
+  Status LoadIntoFresh() {
+    Rng rng(77);
+    ToyModule m(&rng);
+    const auto before = m.SnapshotParameters();
+    const Status st = m.LoadParameters(path_);
+    const auto after = m.SnapshotParameters();
     for (size_t i = 0; i < before.size(); ++i) {
       for (int64_t j = 0; j < before[i].numel(); ++j) {
-        ASSERT_EQ(after[i].data()[j], before[i].data()[j])
-            << "param " << i << " mutated by truncated load (cut " << cut
-            << ")";
+        EXPECT_EQ(after[i].data()[j], before[i].data()[j])
+            << "param " << i << " mutated by a failed load";
       }
     }
+    return st;
   }
-  std::remove(path.c_str());
+
+  const std::string path_ = "/tmp/came_module_regression.bin";
+  std::string good_;
+};
+
+TEST_F(ModuleParamsRegressionTest, FlippedFloatByteIsRejected) {
+  std::string bad = good_;
+  bad[bad.size() - 2] = static_cast<char>(bad[bad.size() - 2] ^ 0x01);
+  Write(bad);
+  EXPECT_EQ(LoadIntoFresh().code(), Status::Code::kCorruption);
+}
+
+TEST_F(ModuleParamsRegressionTest, TrailingGarbageIsRejected) {
+  Write(good_ + "xyz");
+  EXPECT_EQ(LoadIntoFresh().code(), Status::Code::kCorruption);
+}
+
+TEST_F(ModuleParamsRegressionTest, HugeDimIsRejectedBeforeAllocating) {
+  // A CRC-valid file whose only tensor claims 2^36 rows: the tensor codec
+  // must compare the claimed size with the bytes present, not allocate.
+  std::string model;
+  io::AppendPod(&model, uint64_t{1});
+  io::AppendPod(&model, uint32_t{1});
+  model.append("w");
+  io::AppendPod(&model, uint32_t{2});
+  io::AppendPod(&model, int64_t{1} << 36);
+  io::AppendPod(&model, int64_t{3});
+  model.append(36, '\0');
+  io::SectionFileWriter file("CAMEPRM1", 1);
+  file.AppendSection(io::FourCc("MODL"), model);
+  ASSERT_TRUE(file.Commit(path_).ok());
+  EXPECT_EQ(LoadIntoFresh().code(), Status::Code::kCorruption);
 }
 
 TEST(ModuleTest, LoadRejectsShapeMismatch) {
