@@ -54,10 +54,10 @@
 #include "common/stopwatch.h"
 #include "infer/batching_front_end.h"
 #include "infer/fused_embedding_table.h"
-#include "infer/score_dtype.h"
 #include "infer/score_server.h"
 #include "kg/filter_index.h"
 #include "tensor/qgemm.h"
+#include "tensor/shard_store.h"
 #include "tensor/tensor.h"
 
 namespace came {
@@ -203,8 +203,13 @@ QuantResult RunQuantized(infer::ScoreServer* fp32_server,
   infer::ScoreServer qserver(model, table, cfg);
 
   QuantResult res;
-  res.dtype = infer::ScoreDtypeName(dtype);
-  res.entity_matrix_bytes = qserver.quantized_table().entity_matrix_bytes();
+  res.dtype = tensor::ShardDtypeName(dtype);
+  // Encoded entity matrix: int8 codes plus one fp32 scale per row, or
+  // two bytes per bf16 element.
+  const int64_t n = table->num_entities();
+  const int64_t nd = n * table->dim();
+  res.entity_matrix_bytes =
+      dtype == infer::ScoreDtype::kInt8 ? nd + n * 4 : nd * 2;
   res.bytes_ratio =
       static_cast<double>(res.entity_matrix_bytes) /
       static_cast<double>(table->num_entities() * table->dim() * 4);

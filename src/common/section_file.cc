@@ -89,9 +89,13 @@ Status SectionFileReader::Read(const std::string& path,
   uint32_t got_version = 0;
   CAME_RETURN_IF_ERROR(r.ReadPod(&got_version));
   if (got_version != version) {
-    return Status::InvalidArgument(path + ": unsupported " +
-                                   std::string(magic, kMagicBytes) +
-                                   " version " + std::to_string(got_version));
+    // Files from before this framing carry a u64 payload length here, so
+    // the "version" may be that length: name what this build reads.
+    return Status::InvalidArgument(
+        path + ": " + std::string(magic, kMagicBytes) +
+        " file declares version " + std::to_string(got_version) +
+        ", but this build reads version " + std::to_string(version) +
+        "; a file written by an earlier build must be re-created");
   }
   uint32_t count = 0;
   CAME_RETURN_IF_ERROR(r.ReadPod(&count));

@@ -17,8 +17,6 @@ namespace {
 //   CAND  candidates tensor [N, d]
 //   BIAS  bias tensor [N], or an empty {0} tensor
 //   FOLD  folded rows tensor [N, d_f], or an empty {0} tensor
-// The panel bounds are not stored: construction recomputes them from the
-// candidate rows.
 constexpr char kMagic[] = "CAMEFET1";
 constexpr uint32_t kVersion = 1;
 
@@ -53,14 +51,6 @@ FusedEmbeddingTable::FusedEmbeddingTable(std::string model_name,
   if (folded_rows_.numel() > 0) {
     CAME_CHECK_EQ(folded_rows_.ndim(), 2);
     CAME_CHECK_EQ(folded_rows_.dim(0), candidates_.dim(0));
-  }
-  if (candidates_.numel() > 0) {
-    bounds_ = tensor::PanelBoundTable(candidates_.dim(0),
-                                      tensor::kDefaultBoundBlockRows);
-    tensor::AccountRowsFp32(&bounds_, candidates_.data(),
-                            has_bias() ? bias_.data() : nullptr,
-                            /*first_row=*/0, candidates_.dim(0),
-                            candidates_.dim(1));
   }
 }
 

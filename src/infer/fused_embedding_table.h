@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "tensor/panel_bounds.h"
 #include "tensor/tensor.h"
 
 namespace came::baselines {
@@ -71,18 +70,11 @@ class FusedEmbeddingTable {
   bool has_folded_rows() const { return folded_rows_.numel() > 0; }
   const tensor::Tensor& folded_rows() const { return folded_rows_; }
 
-  /// Per-block score-bound metadata over candidates/bias, the input to
-  /// the serving layer's exact panel pruning (tensor::PanelBoundTable).
-  /// Always populated for a non-empty table: computed from the rows on
-  /// construction (Load included), never read from disk.
-  const tensor::PanelBoundTable& bounds() const { return bounds_; }
-
  private:
   std::string model_name_;
   tensor::Tensor candidates_;   // [N, d]
   tensor::Tensor bias_;         // [N] or empty
   tensor::Tensor folded_rows_;  // [N, d_f] or empty
-  tensor::PanelBoundTable bounds_;
 };
 
 }  // namespace came::infer

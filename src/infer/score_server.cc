@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <span>
@@ -69,7 +70,7 @@ SkipCursor CursorOver(const std::vector<int64_t>* ids) {
 
 // Feeds one panel of scores into the query's bounded heap. `bias` is
 // panel-local (bias[j] belongs to entity begin + j), matching the
-// CandidatePanelSource::BiasPanel contract.
+// ShardStorePanelSource::BiasPanel contract.
 void UpdateHeap(std::vector<Entry>* heap, int64_t k, const float* scores,
                 const float* bias, int64_t begin, int64_t len,
                 SkipCursor filter_cursor, int64_t keep,
@@ -169,7 +170,150 @@ struct PanelSeg {
   double key = 0.0;
 };
 
+// Query-side state of one sweep, shared by TopKBatch and RankOf. int8
+// stores score a two-digit (hi + residual) encoding of the queries, made
+// once per sweep, so the query contributes ~127x less error than the
+// int8 candidate rows (a non-finite query degrades to NaN scales → NaN
+// scores → ranked worst); bf16 panels decode into a scratch panel and
+// reuse the fp32 GEMM. With pruning on, `norms` holds each query's L2
+// norm — of the row the GEMM actually scores with — for the
+// Cauchy–Schwarz panel bound.
+struct QueryBatch {
+  QueryBatch(tensor::Tensor queries, ScoreDtype store_dtype, bool prune,
+             int64_t panel_rows)
+      : q(std::move(queries)),
+        b(q.dim(0)),
+        d(q.dim(1)),
+        dtype(store_dtype) {
+    if (dtype == ScoreDtype::kInt8) {
+      hi.resize(static_cast<size_t>(b * d));
+      hi_scales.resize(static_cast<size_t>(b));
+      lo.resize(static_cast<size_t>(b * d));
+      lo_scales.resize(static_cast<size_t>(b));
+      tensor::qgemm::QuantizeRowsInt8ServingTwoDigit(
+          q.data(), b, d, hi.data(), hi_scales.data(), lo.data(),
+          lo_scales.data());
+    }
+    if (dtype == ScoreDtype::kBf16) decode.emplace(panel_rows * d);
+    if (!prune) return;
+    norms.resize(static_cast<size_t>(b));
+    for (int64_t i = 0; i < b; ++i) {
+      const size_t si = static_cast<size_t>(i);
+      const double qn =
+          dtype == ScoreDtype::kInt8
+              ? TwoDigitQueryNorm(hi.data() + i * d, hi_scales[si],
+                                  lo.data() + i * d, lo_scales[si], d)
+              : static_cast<double>(
+                    tensor::qgemm::RowNormUpperBoundFp32(q.data() + i * d, d));
+      norms[si] = qn;
+      max_norm = std::max(max_norm, qn);
+    }
+  }
+
+  const tensor::Tensor q;  // [B, d] fp32 queries
+  const int64_t b;
+  const int64_t d;
+  const ScoreDtype dtype;
+  std::vector<int8_t> hi;
+  std::vector<float> hi_scales;
+  std::vector<int8_t> lo;
+  std::vector<float> lo_scales;
+  std::optional<tensor::pool::ScratchLease> decode;
+  std::vector<double> norms;  // [B] when pruning
+  double max_norm = 0.0;
+};
+
+// Scores candidate rows [p0, pend) of `store` against every query into
+// `out` ([B, pend - p0], row-major), in the store's precision. Bitwise
+// equal to columns [p0, pend) of the full [B, N] score GEMM: the fp32
+// and bf16 per-element k-accumulation order does not depend on the n
+// blocking, and the int8 dot is exact integer arithmetic. The caller
+// holds a pin on the range.
+void ScorePanel(QueryBatch* qb, tensor::ShardStore* store, int64_t p0,
+                int64_t pend, float* out) {
+  const int64_t pw = pend - p0;
+  switch (qb->dtype) {
+    case ScoreDtype::kFp32:
+      tensor::gemm::Gemm(qb->q.data(), store->PanelRows(p0, pend), out, qb->b,
+                         qb->d, pw, /*trans_a=*/false, /*trans_b=*/true,
+                         /*accumulate=*/false);
+      break;
+    case ScoreDtype::kInt8:
+      tensor::qgemm::GemmInt8TwoDigit(
+          qb->hi.data(), qb->hi_scales.data(), qb->lo.data(),
+          qb->lo_scales.data(), store->QuantPanelRows(p0, pend),
+          store->PanelScales(p0, pend), out, qb->b, qb->d, pw);
+      break;
+    case ScoreDtype::kBf16:
+      tensor::qgemm::DecodeBf16(store->Bf16PanelRows(p0, pend), pw * qb->d,
+                                qb->decode->data());
+      tensor::gemm::Gemm(qb->q.data(), qb->decode->data(), out, qb->b, qb->d,
+                         pw, /*trans_a=*/false, /*trans_b=*/true,
+                         /*accumulate=*/false);
+      break;
+  }
+}
+
+// RAII pin lease on the slab backing rows [begin, end): while held, the
+// range's panel pointers survive other threads' evictions.
+class PanelPin {
+ public:
+  PanelPin(tensor::ShardStore* store, int64_t begin, int64_t end)
+      : store_(store), shard_(store->PinPanel(begin, end)) {}
+  ~PanelPin() { store_->UnpinPanel(shard_); }
+  PanelPin(const PanelPin&) = delete;
+  PanelPin& operator=(const PanelPin&) = delete;
+
+ private:
+  tensor::ShardStore* store_;
+  int64_t shard_;
+};
+
+// The fused-table server's candidates: the table's [N, d] matrix copied
+// into a one-shard in-RAM store, sealed (fp32) or quantized to `dtype`.
+tensor::ShardStore InRamCandidates(const FusedEmbeddingTable& table,
+                                   ScoreDtype dtype) {
+  CAME_CHECK_GT(table.num_entities(), 0) << "empty fused table";
+  Result<tensor::ShardStore> made =
+      tensor::ShardStore::InRam(table.num_entities(), table.dim());
+  CAME_CHECK(made.ok()) << made.status().ToString();
+  tensor::ShardStore rows = std::move(made).value();
+  const int64_t d = table.dim();
+  for (int64_t r = 0; r < table.num_entities(); ++r) {
+    std::memcpy(rows.MutableRow(r), table.candidates().data() + r * d,
+                sizeof(float) * static_cast<size_t>(d));
+  }
+  if (dtype == ScoreDtype::kFp32) {
+    const Status st = rows.Seal();
+    CAME_CHECK(st.ok()) << st.ToString();
+    return rows;
+  }
+  Result<tensor::ShardStore> quantized =
+      tensor::ShardStore::Quantize(&rows, /*dir=*/"", dtype);
+  CAME_CHECK(quantized.ok()) << quantized.status().ToString();
+  return std::move(quantized).value();
+}
+
+int64_t CheckedPanelWidth(int64_t width) {
+  if (width > 0) return width;
+  CAME_LOG(Warning) << "ScoreServerConfig::panel_width " << width
+                    << " is not positive; using 1024";
+  return 1024;
+}
+
 }  // namespace
+
+ScoreDtype ScoreDtypeFromEnv() {
+  const char* env = std::getenv("CAME_SCORE_DTYPE");
+  if (env == nullptr || *env == '\0') return ScoreDtype::kFp32;
+  Result<ScoreDtype> parsed = tensor::ParseShardDtype(env);
+  if (!parsed.ok()) {
+    CAME_LOG(Warning) << "ignoring invalid CAME_SCORE_DTYPE=\"" << env
+                      << "\" (want fp32|int8|bf16); serving fp32";
+    return ScoreDtype::kFp32;
+  }
+  return parsed.value();
+}
 
 bool ScorePruneFromEnv() {
   const char* v = std::getenv("CAME_SCORE_PRUNE");
@@ -203,43 +347,21 @@ ScoreServer::ScoreServer(QueryEncoder encoder,
     : encoder_(std::move(encoder)), config_(config) {
   CAME_CHECK(encoder_ != nullptr);
   CAME_CHECK(table != nullptr);
-  if (config_.dtype == ScoreDtype::kFp32) {
-    owned_source_ = std::make_unique<FusedTablePanelSource>(table);
-  } else {
-    // Quantize the candidate matrix once at construction; the sweep then
-    // scores against the compact snapshot for the server's lifetime.
-    Result<QuantizedTable> qt = QuantizedTable::Build(*table, config_.dtype);
-    CAME_CHECK(qt.ok()) << qt.status().ToString();
-    owned_qtable_ = std::make_unique<QuantizedTable>(std::move(qt).value());
-    owned_source_ =
-        std::make_unique<QuantizedTablePanelSource>(owned_qtable_.get());
-  }
+  owned_store_ = std::make_unique<tensor::ShardStore>(
+      InRamCandidates(*table, config_.dtype));
+  owned_source_ = std::make_unique<ShardStorePanelSource>(owned_store_.get(),
+                                                          table->bias());
   source_ = owned_source_.get();
-  CAME_CHECK_GT(source_->num_entities(), 0) << "empty fused table";
-  if (config_.panel_width <= 0) {
-    CAME_LOG(Warning) << "ScoreServerConfig::panel_width "
-                      << config_.panel_width << " is not positive; using 1024";
-    config_.panel_width = 1024;
-  }
+  config_.panel_width = CheckedPanelWidth(config_.panel_width);
 }
 
-ScoreServer::ScoreServer(QueryEncoder encoder, CandidatePanelSource* source,
+ScoreServer::ScoreServer(QueryEncoder encoder, ShardStorePanelSource* source,
                          const ScoreServerConfig& config)
     : encoder_(std::move(encoder)), source_(source), config_(config) {
   CAME_CHECK(encoder_ != nullptr);
   CAME_CHECK(source_ != nullptr);
   CAME_CHECK_GT(source_->num_entities(), 0) << "empty candidate source";
-  if (config_.panel_width <= 0) {
-    CAME_LOG(Warning) << "ScoreServerConfig::panel_width "
-                      << config_.panel_width << " is not positive; using 1024";
-    config_.panel_width = 1024;
-  }
-}
-
-const QuantizedTable& ScoreServer::quantized_table() const {
-  CAME_CHECK(owned_qtable_ != nullptr)
-      << "server is not scoring a quantized fused table";
-  return *owned_qtable_;
+  config_.panel_width = CheckedPanelWidth(config_.panel_width);
 }
 
 tensor::Tensor ScoreServer::EncodeQueries(const std::vector<int64_t>& heads,
@@ -294,59 +416,14 @@ Result<std::vector<TopKResult>> ScoreServer::TopKBatch(
 
   OptionalSweepLock sweep_lock(config_.serialize_sweep ? &serial_mu_
                                                        : nullptr);
-  const tensor::Tensor q = EncodeQueries(heads, rels);
-  const int64_t b = q.dim(0);
-  const int64_t d = q.dim(1);
   const int64_t n = source_->num_entities();
+  const int64_t panel = std::min(config_.panel_width, n);
+  const bool prune = config_.prune;
+  QueryBatch qb(EncodeQueries(heads, rels), source_->dtype(), prune, panel);
+  const int64_t b = qb.b;
 
   std::vector<std::vector<Entry>> heaps(static_cast<size_t>(b));
   for (auto& h : heaps) h.reserve(static_cast<size_t>(std::min(k, n)));
-
-  const int64_t panel = std::min(config_.panel_width, n);
-  const ScoreDtype dtype = source_->dtype();
-  // Query-side state for the quantized paths: int8 queries are encoded
-  // once per batch as a two-digit (hi + residual) pair, so the query
-  // contributes ~127x less error than the int8 candidate rows (a
-  // non-finite query degrades to NaN scales → NaN scores → ranked
-  // worst); bf16 panels decode into an fp32 scratch panel and reuse the
-  // fp32 GEMM.
-  std::vector<int8_t> q8_hi;
-  std::vector<float> q8_hi_scales;
-  std::vector<int8_t> q8_lo;
-  std::vector<float> q8_lo_scales;
-  if (dtype == ScoreDtype::kInt8) {
-    q8_hi.resize(static_cast<size_t>(b * d));
-    q8_hi_scales.resize(static_cast<size_t>(b));
-    q8_lo.resize(static_cast<size_t>(b * d));
-    q8_lo_scales.resize(static_cast<size_t>(b));
-    tensor::qgemm::QuantizeRowsInt8ServingTwoDigit(
-        q.data(), b, d, q8_hi.data(), q8_hi_scales.data(), q8_lo.data(),
-        q8_lo_scales.data());
-  }
-  std::optional<tensor::pool::ScratchLease> decode;
-  if (dtype == ScoreDtype::kBf16) decode.emplace(panel * d);
-
-  // Pruning state: each query's L2 norm (of the row the GEMM actually
-  // scores with — the fp32 row, or the int8 path's dequantized two-digit
-  // vector) feeds the per-panel Cauchy–Schwarz bound.
-  const bool prune = config_.prune;
-  std::vector<double> qnorms;
-  double qnorm_max = 0.0;
-  if (prune) {
-    qnorms.resize(static_cast<size_t>(b));
-    for (int64_t i = 0; i < b; ++i) {
-      const double qn =
-          dtype == ScoreDtype::kInt8
-              ? TwoDigitQueryNorm(
-                    q8_hi.data() + i * d, q8_hi_scales[static_cast<size_t>(i)],
-                    q8_lo.data() + i * d, q8_lo_scales[static_cast<size_t>(i)],
-                    d)
-              : static_cast<double>(
-                    tensor::qgemm::RowNormUpperBoundFp32(q.data() + i * d, d));
-      qnorms[static_cast<size_t>(i)] = qn;
-      qnorm_max = std::max(qnorm_max, qn);
-    }
-  }
 
   // Panel schedule. With pruning on, panels are visited in descending
   // batch-bound order (best candidates first fill the heaps with strong
@@ -368,7 +445,7 @@ Result<std::vector<TopKResult>> ScoreServer::TopKBatch(
     if (prune) {
       seg.max_norm = source_->PanelMaxNorm(p0, pend);
       seg.max_bias = source_->PanelMaxBias(p0, pend);
-      const double key = qnorm_max * static_cast<double>(seg.max_norm) +
+      const double key = qb.max_norm * static_cast<double>(seg.max_norm) +
                          static_cast<double>(seg.max_bias);
       seg.key = std::isnan(key) ? std::numeric_limits<double>::infinity()
                                 : key;
@@ -405,7 +482,7 @@ Result<std::vector<TopKResult>> ScoreServer::TopKBatch(
         const std::vector<Entry>& h = heaps[static_cast<size_t>(i)];
         bool s = false;
         if (static_cast<int64_t>(h.size()) == k) {
-          const float bound = PanelScoreBound(qnorms[static_cast<size_t>(i)],
+          const float bound = PanelScoreBound(qb.norms[static_cast<size_t>(i)],
                                               seg.max_norm, seg.max_bias);
           s = !eval::ScoredBefore(bound, seg.begin, h.front().score,
                                   h.front().id);
@@ -424,33 +501,10 @@ Result<std::vector<TopKResult>> ScoreServer::TopKBatch(
       continue;
     }
     // Pin the panel's backing residency for the whole consume (GEMM +
-    // bias + heap updates) so a concurrent sweep's eviction cannot
-    // invalidate the pointers mid-use.
-    PanelPin pin(source_, p0, pend);
-    // q [B, d] x candidates[p0 .. pend) [pw, d]^T -> [B, pw]. Bitwise
-    // equal to columns [p0, pend) of the full [B, N] score GEMM (fp32
-    // and bf16 paths), or of the full int8 score GEMM (exact int32
-    // accumulation makes panel width irrelevant there too).
-    switch (dtype) {
-      case ScoreDtype::kFp32:
-        tensor::gemm::Gemm(q.data(), source_->Panel(p0, pend), scores.data(),
-                           b, d, pw, /*trans_a=*/false, /*trans_b=*/true,
-                           /*accumulate=*/false);
-        break;
-      case ScoreDtype::kInt8:
-        tensor::qgemm::GemmInt8TwoDigit(
-            q8_hi.data(), q8_hi_scales.data(), q8_lo.data(),
-            q8_lo_scales.data(), source_->PanelInt8(p0, pend),
-            source_->PanelScales(p0, pend), scores.data(), b, d, pw);
-        break;
-      case ScoreDtype::kBf16:
-        tensor::qgemm::DecodeBf16(source_->PanelBf16(p0, pend), pw * d,
-                                  decode->data());
-        tensor::gemm::Gemm(q.data(), decode->data(), scores.data(), b, d, pw,
-                           /*trans_a=*/false, /*trans_b=*/true,
-                           /*accumulate=*/false);
-        break;
-    }
+    // heap updates) so a concurrent sweep's eviction cannot invalidate
+    // the pointers mid-use.
+    PanelPin pin(source_->store(), p0, pend);
+    ScorePanel(&qb, source_->store(), p0, pend, scores.data());
     const float* bias =
         source_->has_bias() ? source_->BiasPanel(p0, pend) : nullptr;
     ++panels_scored;
@@ -501,73 +555,29 @@ Result<double> ScoreServer::RankOf(int64_t head, int64_t rel, int64_t target,
 
   OptionalSweepLock sweep_lock(config_.serialize_sweep ? &serial_mu_
                                                        : nullptr);
-  const tensor::Tensor q = EncodeQueries(heads, rels);
-  const int64_t d = q.dim(1);
   const bool has_bias = source_->has_bias();
   const bool prune = config_.prune;
+  tensor::ShardStore* store = source_->store();
 
   const std::span<const int64_t> filtered =
       opts.filter != nullptr ? opts.filter->Tails(head, rel)
                              : std::span<const int64_t>();
 
   const int64_t panel = std::min(config_.panel_width, n);
-  const ScoreDtype dtype = source_->dtype();
-  std::vector<int8_t> q8_hi;
-  std::vector<float> q8_hi_scales;
-  std::vector<int8_t> q8_lo;
-  std::vector<float> q8_lo_scales;
-  if (dtype == ScoreDtype::kInt8) {
-    q8_hi.resize(static_cast<size_t>(d));
-    q8_hi_scales.resize(1);
-    q8_lo.resize(static_cast<size_t>(d));
-    q8_lo_scales.resize(1);
-    tensor::qgemm::QuantizeRowsInt8ServingTwoDigit(
-        q.data(), 1, d, q8_hi.data(), q8_hi_scales.data(), q8_lo.data(),
-        q8_lo_scales.data());
-  }
-  const double qnorm =
-      !prune ? 0.0
-      : dtype == ScoreDtype::kInt8
-          ? TwoDigitQueryNorm(q8_hi.data(), q8_hi_scales[0], q8_lo.data(),
-                              q8_lo_scales[0], d)
-          : static_cast<double>(
-                tensor::qgemm::RowNormUpperBoundFp32(q.data(), d));
-  std::optional<tensor::pool::ScratchLease> decode;
-  if (dtype == ScoreDtype::kBf16) decode.emplace(panel * d);
-
+  QueryBatch qb(EncodeQueries(heads, rels), source_->dtype(), prune, panel);
+  const double qnorm = prune ? qb.norms[0] : 0.0;
   tensor::pool::ScratchLease scores(panel);
 
   // The target's score first (the accumulator compares against it). A
   // 1-wide panel is bitwise identical to the same element of any wider
-  // panel in every dtype: fp32/bf16 because the per-element
-  // k-accumulation order does not depend on n, int8 because the dot is
-  // exact integer arithmetic.
+  // panel in every dtype (see ScorePanel).
   float s_target;
   {
-    // Pin across both the row and the bias (int8 also reads scales): the
-    // second accessor call must not evict the first's mapping under a
+    // Pin across the whole read (int8 reads rows and scales): the second
+    // accessor call must not evict the first's mapping under a
     // concurrent sweep.
-    PanelPin pin(source_, target, target + 1);
-    switch (dtype) {
-      case ScoreDtype::kFp32:
-        tensor::gemm::Gemm(q.data(), source_->Panel(target, target + 1),
-                           &s_target, 1, d, 1, /*trans_a=*/false,
-                           /*trans_b=*/true, /*accumulate=*/false);
-        break;
-      case ScoreDtype::kInt8:
-        tensor::qgemm::GemmInt8TwoDigit(
-            q8_hi.data(), q8_hi_scales.data(), q8_lo.data(),
-            q8_lo_scales.data(), source_->PanelInt8(target, target + 1),
-            source_->PanelScales(target, target + 1), &s_target, 1, d, 1);
-        break;
-      case ScoreDtype::kBf16:
-        tensor::qgemm::DecodeBf16(source_->PanelBf16(target, target + 1), d,
-                                  decode->data());
-        tensor::gemm::Gemm(q.data(), decode->data(), &s_target, 1, d, 1,
-                           /*trans_a=*/false, /*trans_b=*/true,
-                           /*accumulate=*/false);
-        break;
-    }
+    PanelPin pin(store, target, target + 1);
+    ScorePanel(&qb, store, target, target + 1, &s_target);
     if (has_bias) s_target += source_->BiasPanel(target, target + 1)[0];
   }
 
@@ -614,27 +624,8 @@ Result<double> ScoreServer::RankOf(int64_t head, int64_t rel, int64_t target,
           continue;
         }
       }
-      PanelPin pin(source_, p0, pend);
-      switch (dtype) {
-        case ScoreDtype::kFp32:
-          tensor::gemm::Gemm(q.data(), source_->Panel(p0, pend),
-                             scores.data(), 1, d, pw, /*trans_a=*/false,
-                             /*trans_b=*/true, /*accumulate=*/false);
-          break;
-        case ScoreDtype::kInt8:
-          tensor::qgemm::GemmInt8TwoDigit(
-              q8_hi.data(), q8_hi_scales.data(), q8_lo.data(),
-              q8_lo_scales.data(), source_->PanelInt8(p0, pend),
-              source_->PanelScales(p0, pend), scores.data(), 1, d, pw);
-          break;
-        case ScoreDtype::kBf16:
-          tensor::qgemm::DecodeBf16(source_->PanelBf16(p0, pend), pw * d,
-                                    decode->data());
-          tensor::gemm::Gemm(q.data(), decode->data(), scores.data(), 1, d,
-                             pw, /*trans_a=*/false, /*trans_b=*/true,
-                             /*accumulate=*/false);
-          break;
-      }
+      PanelPin pin(store, p0, pend);
+      ScorePanel(&qb, store, p0, pend, scores.data());
       ++panels_scored;
       if (has_bias) {
         const float* bias = source_->BiasPanel(p0, pend);

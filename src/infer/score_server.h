@@ -12,9 +12,8 @@
 #include "common/thread_annotations.h"
 #include "infer/candidate_panels.h"
 #include "infer/fused_embedding_table.h"
-#include "infer/quantized_table.h"
-#include "infer/score_dtype.h"
 #include "kg/filter_index.h"
+#include "tensor/shard_store.h"
 #include "tensor/tensor.h"
 
 namespace came::baselines {
@@ -32,6 +31,15 @@ namespace came::infer {
 using QueryEncoder = std::function<tensor::Tensor(
     const std::vector<int64_t>& heads, const std::vector<int64_t>& rels)>;
 
+/// Storage precision of the candidate rows the sweep scores against: the
+/// candidate store's dtype (tensor::ShardDtype documents the encodings).
+using ScoreDtype = tensor::ShardDtype;
+
+/// Default for ScoreServerConfig::dtype, from CAME_SCORE_DTYPE
+/// ("fp32" | "int8" | "bf16"); unset or empty means kFp32, an invalid
+/// value warns and falls back to kFp32.
+ScoreDtype ScoreDtypeFromEnv();
+
 /// Default for ScoreServerConfig::prune, from CAME_SCORE_PRUNE
 /// ("on"/"1"/"true" or "off"/"0"/"false"; unset or invalid means on).
 bool ScorePruneFromEnv();
@@ -48,8 +56,7 @@ struct ScoreServerConfig {
   /// every fused-table server in the process without a code change. A
   /// non-fp32 value makes the server quantize the table at construction
   /// and score through the matching qgemm path. Ignored by the
-  /// CandidatePanelSource constructor, where the source's own dtype()
-  /// governs (e.g. a quantized ShardStore).
+  /// ShardStorePanelSource constructor, where the store's dtype governs.
   ScoreDtype dtype = ScoreDtypeFromEnv();
   /// Exact panel-skip pruning: panels whose cached score upper bound
   /// (Cauchy–Schwarz: ||q|| * max_row_norm + max_bias) provably cannot
@@ -94,11 +101,12 @@ struct TopKOptions {
   const std::vector<int64_t>* restrict_to = nullptr;
 };
 
-/// Answers (h, r, ?) top-K queries against a CandidatePanelSource — an
-/// in-RAM FusedEmbeddingTable or a ShardStore whose slabs page in and
-/// out of a residency budget (beyond-RAM serving). The sweep clamps
-/// every panel to the source's PanelEnd, so shard boundaries are
-/// respected without the scoring loop knowing about shards.
+/// Answers (h, r, ?) top-K queries against a ShardStorePanelSource — a
+/// ShardStore whose slabs page in and out of a residency budget
+/// (beyond-RAM serving), or the one-shard in-RAM store a fused-table
+/// server copies its table into. The sweep clamps every panel to the
+/// source's PanelEnd, so shard boundaries are respected without the
+/// scoring loop knowing about shards.
 ///
 /// Each batch runs one blocked SGEMM per entity panel
 /// (q [B, d] x panel [P, d]^T), and the panel scores feed per-query
@@ -112,13 +120,14 @@ struct TopKOptions {
 /// multiplies untransposed — same math, different accumulation path — so
 /// its scores may differ from serving scores in the last ulp.
 ///
-/// Pruning (config.prune): the source's per-block bound metadata
-/// (tensor::PanelBoundTable) gives each panel a conservative score upper
-/// bound per query. Panels are visited in descending bound order; once a
-/// query's heap holds K entries whose worst member the panel's bound
-/// cannot beat under eval::ScoredBefore, the panel is skipped for that
-/// query — and when every query in the batch skips it, the GEMM (and,
-/// shard-backed, the mmap fault) is skipped entirely. Because the bound
+/// Pruning (config.prune): the source's per-block bound metadata (the
+/// store's tensor::PanelBoundTable plus the bias maxima) gives each panel
+/// a conservative score upper bound per query. Panels are visited in
+/// descending bound order; once a query's heap holds K entries whose
+/// worst member the panel's bound cannot beat under eval::ScoredBefore,
+/// the panel is skipped for that query — and when every query in the
+/// batch skips it, the GEMM (and, shard-backed, the mmap fault) is
+/// skipped entirely. Because the bound
 /// over-approximates every candidate's score and ScoredBefore is a
 /// strict total order (making the top-K set unique and sweep-order
 /// independent), pruned results are bitwise identical to the unpruned
@@ -126,10 +135,10 @@ struct TopKOptions {
 ///
 /// Thread-safe for concurrent readers: sweeps take no global lock
 /// (config.serialize_sweep restores the old single-sweep behaviour).
-/// Shard-backed sweeps hold a pin lease on a panel's slab while
-/// consuming it, so a concurrent sweep's eviction cannot pull the
-/// mapping out from under the GEMM; per-query scratch comes from the
-/// thread-safe tensor::pool; stats are relaxed atomics.
+/// Sweeps hold a pin lease on a panel's slab while consuming it, so a
+/// concurrent sweep's eviction cannot pull the mapping out from under
+/// the GEMM; per-query scratch comes from the thread-safe tensor::pool;
+/// stats are relaxed atomics.
 class ScoreServer {
  public:
   /// Serves `model` (used for query encoding only; entity-side state
@@ -139,13 +148,15 @@ class ScoreServer {
   ScoreServer(baselines::InnerProductKgcModel* model,
               const FusedEmbeddingTable* table,
               const ScoreServerConfig& config = {});
-  /// Custom query encoder (tests, remote encoders).
+  /// Custom query encoder (tests, remote encoders). The table's
+  /// candidate matrix is copied into an owned in-RAM ShardStore —
+  /// sealed for fp32, quantized for config.dtype int8/bf16 — and served
+  /// with the table's bias; the table itself is not read afterwards.
   ScoreServer(QueryEncoder encoder, const FusedEmbeddingTable* table,
               const ScoreServerConfig& config = {});
-  /// Serves candidates straight from `source` (e.g. a
-  /// ShardStorePanelSource over a sealed beyond-RAM store). Not owned;
-  /// must outlive the server.
-  ScoreServer(QueryEncoder encoder, CandidatePanelSource* source,
+  /// Serves candidates straight from `source` (e.g. over a sealed
+  /// beyond-RAM store). Not owned; must outlive the server.
+  ScoreServer(QueryEncoder encoder, ShardStorePanelSource* source,
               const ScoreServerConfig& config = {});
 
   /// Top-K for a single query. K is clamped to the number of eligible
@@ -173,13 +184,9 @@ class ScoreServer {
                         const TopKOptions& opts = {});
 
   int64_t num_entities() const { return source_->num_entities(); }
-  /// The precision the sweep actually scores in (the panel source's
-  /// dtype — for fused-table servers this is config.dtype).
+  /// The precision the sweep actually scores in (the store's dtype —
+  /// for fused-table servers this is config.dtype).
   ScoreDtype score_dtype() const { return source_->dtype(); }
-  /// The quantized table a non-fp32 fused-table server scores against
-  /// (CHECK-fails when score_dtype() is fp32 or the server is
-  /// source-backed).
-  const QuantizedTable& quantized_table() const;
 
   struct Stats {
     int64_t queries_served = 0;
@@ -217,11 +224,11 @@ class ScoreServer {
                      const std::vector<int64_t>& rels) const;
 
   QueryEncoder encoder_;
-  /// Owned quantized snapshot of the fused table when config.dtype !=
-  /// fp32.
-  std::unique_ptr<QuantizedTable> owned_qtable_;
-  std::unique_ptr<CandidatePanelSource> owned_source_;
-  CandidatePanelSource* source_ = nullptr;
+  /// Fused-table servers: the in-RAM copy of the candidates and the
+  /// source over it.
+  std::unique_ptr<tensor::ShardStore> owned_store_;
+  std::unique_ptr<ShardStorePanelSource> owned_source_;
+  ShardStorePanelSource* source_ = nullptr;
   ScoreServerConfig config_;
   /// Held for the whole sweep only when config.serialize_sweep — the
   /// opt-in single-sweep mode. Guards no fields (sweeps are read-only).

@@ -44,7 +44,7 @@ int64_t ShardBytesDt(int64_t begin, int64_t end, int64_t dim,
                      ShardDtype dtype) {
   const int64_t rows = end - begin;
   switch (dtype) {
-    case ShardDtype::kF32:
+    case ShardDtype::kFp32:
       return rows * dim * static_cast<int64_t>(sizeof(float));
     case ShardDtype::kBf16:
       return rows * dim * static_cast<int64_t>(sizeof(uint16_t));
@@ -96,14 +96,22 @@ Result<uint32_t> SlabFileCrc(const std::string& path, int64_t bytes) {
 
 std::string ShardDtypeName(ShardDtype dtype) {
   switch (dtype) {
-    case ShardDtype::kF32:
-      return "f32";
+    case ShardDtype::kFp32:
+      return "fp32";
     case ShardDtype::kInt8:
       return "int8";
     case ShardDtype::kBf16:
       return "bf16";
   }
   return "unknown";
+}
+
+Result<ShardDtype> ParseShardDtype(const std::string& name) {
+  if (name == "fp32") return ShardDtype::kFp32;
+  if (name == "int8") return ShardDtype::kInt8;
+  if (name == "bf16") return ShardDtype::kBf16;
+  return Status::InvalidArgument("unknown dtype \"" + name +
+                                 "\" (want fp32|int8|bf16)");
 }
 
 int64_t ShardStore::ShardByteSize(int64_t begin, int64_t end) const {
@@ -115,9 +123,24 @@ ShardStore::~ShardStore() { ReleaseAll(); }
 void ShardStore::MoveFrom(ShardStore&& other) {
   // Moves require external serialisation (no concurrent readers on either
   // store), but the guarded fields still want their locks for the
-  // analysis — uncontended by contract, so the cost is nil.
-  came::MutexLock other_lock(&other.mu_);
+  // analysis — uncontended by contract, so the cost is nil. The two locks
+  // are taken one after the other, never nested: stores move in both
+  // directions, so nesting would give each pair of mutexes two orders
+  // (TSan reports that as a potential deadlock).
+  uint64_t clock = 0;
+  int64_t resident = 0;
+  Stats stats;
+  {
+    came::MutexLock other_lock(&other.mu_);
+    clock = other.clock_;
+    resident = other.resident_count_;
+    stats = other.stats_;
+    other.resident_count_ = 0;
+  }
   came::MutexLock lock(&mu_);
+  clock_ = clock;
+  resident_count_ = resident;
+  stats_ = stats;
   dir_ = std::move(other.dir_);
   rows_ = other.rows_;
   dim_ = other.dim_;
@@ -125,13 +148,9 @@ void ShardStore::MoveFrom(ShardStore&& other) {
   rows_per_shard_ = other.rows_per_shard_;
   max_resident_ = other.max_resident_;
   sealed_ = other.sealed_;
-  clock_ = other.clock_;
-  resident_count_ = other.resident_count_;
   shards_ = std::move(other.shards_);
-  stats_ = other.stats_;
   bounds_ = std::move(other.bounds_);
   other.shards_.clear();
-  other.resident_count_ = 0;
   other.rows_ = other.dim_ = 0;
   other.bounds_ = PanelBoundTable();
 }
@@ -168,12 +187,18 @@ std::string ShardStore::SlabPath(int64_t shard) const {
 }
 
 Result<ShardStore> ShardStore::InRam(int64_t rows, int64_t dim) {
+  return Anonymous(rows, dim, ShardDtype::kFp32);
+}
+
+Result<ShardStore> ShardStore::Anonymous(int64_t rows, int64_t dim,
+                                         ShardDtype dtype) {
   if (rows <= 0 || dim <= 0) {
     return Status::InvalidArgument("ShardStore wants rows > 0 and dim > 0");
   }
   ShardStore s;
   s.rows_ = rows;
   s.dim_ = dim;
+  s.dtype_ = dtype;
   s.rows_per_shard_ = rows;
   s.max_resident_ = 0;
   s.shards_.resize(1);
@@ -340,86 +365,95 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
   if (src == nullptr) {
     return Status::InvalidArgument("Quantize wants a source store");
   }
-  if (src->dtype() != ShardDtype::kF32) {
+  if (src->dtype() != ShardDtype::kFp32) {
     return Status::InvalidArgument("Quantize wants an fp32 source store, got " +
                                    ShardDtypeName(src->dtype()));
   }
-  if (dtype == ShardDtype::kF32) {
+  if (dtype == ShardDtype::kFp32) {
     return Status::InvalidArgument(
         "Quantize target dtype must be int8 or bf16");
   }
-  if (src->in_ram() && dir.empty()) {
-    return Status::InvalidArgument("Quantize wants a destination directory");
+  const bool in_ram = dir.empty();
+  if (in_ram && !src->in_ram()) {
+    return Status::InvalidArgument(
+        "Quantize without a destination directory wants an in-RAM source");
   }
   if (options.max_resident_shards < 0) {
     return Status::InvalidArgument("negative shard-store option");
   }
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IOError("mkdir " + dir + ": " + std::strerror(errno));
-  }
-  {
+
+  ShardStore s;
+  if (in_ram) {
+    Result<ShardStore> made = Anonymous(src->rows(), src->dim(), dtype);
+    if (!made.ok()) return made.status();
+    s = std::move(made).value();
+  } else {
+    if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+      return Status::IOError("mkdir " + dir + ": " + std::strerror(errno));
+    }
     struct stat st {};
     if (::stat(ManifestPath(dir).c_str(), &st) == 0) {
       return Status::InvalidArgument(dir +
                                      " already holds a shard store manifest");
     }
+    s.dir_ = dir;
+    s.rows_ = src->rows();
+    s.dim_ = src->dim();
+    s.dtype_ = dtype;
+    s.rows_per_shard_ = src->rows_per_shard();
+    s.max_resident_ = options.max_resident_shards;
+    s.shards_.resize(static_cast<size_t>(src->num_shards()));
   }
 
-  ShardStore s;
-  s.dir_ = dir;
-  s.rows_ = src->rows();
-  s.dim_ = src->dim();
-  s.dtype_ = dtype;
-  s.rows_per_shard_ = src->rows_per_shard();
-  s.max_resident_ = options.max_resident_shards;
-  const int64_t n_shards = src->num_shards();
-  s.shards_.resize(static_cast<size_t>(n_shards));
-
   // One slab at a time: read the fp32 rows from the source's mapping,
-  // re-encode into a payload buffer, write the slab, record its CRC and
-  // fold its rows into the panel bounds (over the *encoded* values, so
-  // the bound is scale-aware rather than inherited from fp32).
+  // encode them straight into the slab payload (the anonymous mapping
+  // itself when in RAM), and fold the *encoded* rows into the panel
+  // bounds, so the bound is scale-aware rather than inherited from fp32.
+  // On disk each payload is then written and its CRC recorded.
   PanelBoundTable bounds(s.rows_, kDefaultBoundBlockRows);
   std::string payload;
-  for (int64_t i = 0; i < n_shards; ++i) {
+  for (int64_t i = 0; i < s.num_shards(); ++i) {
     Shard& sh = s.shards_[static_cast<size_t>(i)];
     sh.begin = i * s.rows_per_shard_;
     sh.end = std::min(s.rows_, sh.begin + s.rows_per_shard_);
     const int64_t srows = sh.end - sh.begin;
-    const float* rows = src->PanelRows(sh.begin, sh.end);
-    payload.assign(static_cast<size_t>(s.ShardByteSize(sh.begin, sh.end)),
-                   '\0');
-    if (dtype == ShardDtype::kInt8) {
-      std::vector<int8_t> q(static_cast<size_t>(srows * s.dim_));
-      std::vector<float> scales(static_cast<size_t>(srows));
-      Status st = qgemm::QuantizeRowsInt8(rows, srows, s.dim_, q.data(),
-                                          scales.data());
-      if (!st.ok()) {
-        return Status::InvalidArgument("slab " + std::to_string(i) + ": " +
-                                       st.message());
-      }
-      std::memcpy(payload.data(), q.data(), q.size());
-      std::memcpy(payload.data() + PadTo64(srows * s.dim_), scales.data(),
-                  scales.size() * sizeof(float));
-      AccountRowsInt8(&bounds, q.data(), scales.data(), /*bias=*/nullptr,
-                      sh.begin, srows, s.dim_);
-    } else {
-      std::vector<uint16_t> enc(static_cast<size_t>(srows * s.dim_));
-      Status st = qgemm::EncodeRowsBf16(rows, srows, s.dim_, enc.data());
-      if (!st.ok()) {
-        return Status::InvalidArgument("slab " + std::to_string(i) + ": " +
-                                       st.message());
-      }
-      std::memcpy(payload.data(), enc.data(),
-                  enc.size() * sizeof(uint16_t));
-      AccountRowsBf16(&bounds, enc.data(), /*bias=*/nullptr, sh.begin, srows,
-                      s.dim_);
+    const size_t bytes =
+        static_cast<size_t>(s.ShardByteSize(sh.begin, sh.end));
+    char* out = static_cast<char*>(sh.base);
+    if (out == nullptr) {
+      payload.assign(bytes, '\0');
+      out = payload.data();
     }
-    CAME_RETURN_IF_ERROR(io::WriteFileAtomic(
-        s.SlabPath(i), payload.data(), payload.size()));
-    sh.crc = io::Crc32(payload.data(), payload.size());
+    const float* rows = src->PanelRows(sh.begin, sh.end);
+    Status st;
+    if (dtype == ShardDtype::kInt8) {
+      int8_t* codes = reinterpret_cast<int8_t*>(out);
+      float* scales =
+          reinterpret_cast<float*>(out + PadTo64(srows * s.dim_));
+      st = qgemm::QuantizeRowsInt8(rows, srows, s.dim_, codes, scales);
+      if (st.ok()) {
+        AccountRowsInt8(&bounds, codes, scales, /*bias=*/nullptr, sh.begin,
+                        srows, s.dim_);
+      }
+    } else {
+      uint16_t* enc = reinterpret_cast<uint16_t*>(out);
+      st = qgemm::EncodeRowsBf16(rows, srows, s.dim_, enc);
+      if (st.ok()) {
+        AccountRowsBf16(&bounds, enc, /*bias=*/nullptr, sh.begin, srows,
+                        s.dim_);
+      }
+    }
+    if (!st.ok()) {
+      return Status::InvalidArgument("slab " + std::to_string(i) + ": " +
+                                     st.message());
+    }
+    if (!in_ram) {
+      CAME_RETURN_IF_ERROR(io::WriteFileAtomic(s.SlabPath(i), out, bytes));
+      sh.crc = io::Crc32(out, bytes);
+    }
   }
   s.bounds_ = std::move(bounds);
+  if (in_ram) return s;
   // Slabs and CRCs are durable; publish the sealed manifest directly —
   // a quantized store is never served unsealed.
   CAME_RETURN_IF_ERROR(s.WriteManifest(/*sealed=*/true));
@@ -454,7 +488,7 @@ Status ShardStore::ComputeBounds() {
     const int64_t end = shards_[i].end;
     const int64_t n = end - begin;
     switch (dtype_) {
-      case ShardDtype::kF32:
+      case ShardDtype::kFp32:
         AccountRowsFp32(&bounds, PanelRows(begin, end), /*bias=*/nullptr,
                         begin, n, dim_);
         break;
@@ -595,7 +629,7 @@ bool ShardStore::ShardResident(int64_t shard) const {
 }
 
 const float* ShardStore::Row(int64_t r) {
-  CAME_CHECK(dtype_ == ShardDtype::kF32)
+  CAME_CHECK(dtype_ == ShardDtype::kFp32)
       << "fp32 row access on a " << ShardDtypeName(dtype_) << " store";
   CAME_CHECK_GE(r, 0);
   CAME_CHECK_LT(r, rows_);
@@ -607,7 +641,7 @@ const float* ShardStore::Row(int64_t r) {
 }
 
 float* ShardStore::MutableRow(int64_t r) {
-  CAME_CHECK(dtype_ == ShardDtype::kF32)
+  CAME_CHECK(dtype_ == ShardDtype::kFp32)
       << "quantized stores are immutable (dtype " << ShardDtypeName(dtype_)
       << ")";
   CAME_CHECK_GE(r, 0);
@@ -630,7 +664,7 @@ float* ShardStore::MutableRow(int64_t r) {
 }
 
 const float* ShardStore::PanelRows(int64_t begin, int64_t end) {
-  CAME_CHECK(dtype_ == ShardDtype::kF32)
+  CAME_CHECK(dtype_ == ShardDtype::kFp32)
       << "fp32 panel access on a " << ShardDtypeName(dtype_) << " store";
   int64_t shard = 0;
   const char* base = AcquirePanel(begin, end, &shard);

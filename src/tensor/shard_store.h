@@ -12,13 +12,28 @@
 
 namespace came::tensor {
 
-/// Element encoding of a ShardStore's slab payloads. The trainer always
-/// produces kF32 stores; kInt8/kBf16 stores are derived from a sealed
-/// fp32 store via ShardStore::Quantize and are immutable (serving-only).
-enum class ShardDtype : uint8_t { kF32 = 0, kInt8 = 1, kBf16 = 2 };
+/// Element encoding of a ShardStore's rows, which is also the precision
+/// the serving layer scores candidates in (infer::ScoreDtype is this
+/// type). Queries and accumulation stay fp32 in every mode; only the
+/// entity-side bytes change:
+///
+///   * kFp32 — 4 bytes/element; the trainer always produces these.
+///   * kInt8 — per-row symmetric int8 + one fp32 scale per row
+///             (~1 byte/element); scores come from exact int32 dots
+///             scaled back to fp32 (tensor::qgemm).
+///   * kBf16 — truncated fp32, 2 bytes/element; panels decode to fp32
+///             and reuse the fp32 GEMM.
+///
+/// kInt8/kBf16 stores are derived from an fp32 store via
+/// ShardStore::Quantize and are immutable (serving-only). The byte values
+/// are the CAMESHD1 manifest's dtype byte.
+enum class ShardDtype : uint8_t { kFp32 = 0, kInt8 = 1, kBf16 = 2 };
 
-/// "f32" | "int8" | "bf16".
+/// "fp32" | "int8" | "bf16".
 std::string ShardDtypeName(ShardDtype dtype);
+
+/// Inverse of ShardDtypeName; InvalidArgument on anything else.
+Result<ShardDtype> ParseShardDtype(const std::string& name);
 
 /// Residency policy for a ShardStore.
 struct ShardStoreOptions {
@@ -65,7 +80,9 @@ struct ShardStoreOptions {
 /// `InRam` builds the one-shard special case — a single anonymous
 /// mapping, always resident, no files — through the identical row/panel
 /// access path, which is what makes sharded-vs-in-RAM bitwise parity a
-/// property of the layout rather than of duplicated compute code.
+/// property of the layout rather than of duplicated compute code. The
+/// serving layer's in-RAM candidates are such a store too (fp32 sealed,
+/// or int8/bf16 via `Quantize` with an empty directory).
 ///
 /// Thread safety: the residency machinery (map/unmap, LRU clock, pins,
 /// stats) is guarded by an internal mutex, so the read-side accessors —
@@ -104,7 +121,9 @@ class ShardStore {
   /// Re-encodes a sealed-or-unsealed fp32 store's rows into a new
   /// *sealed* quantized store at `dir` (must not already hold a
   /// manifest), streaming shard by shard so peak memory is one slab. The
-  /// geometry (rows_per_shard) is inherited from `src`. `dtype` must be
+  /// geometry (rows_per_shard) is inherited from `src`. An empty `dir`
+  /// quantizes an in-RAM `src` into a one-shard in-RAM store instead
+  /// (no files; any other source is InvalidArgument). `dtype` must be
   /// kInt8 or kBf16; rows containing NaN/Inf are rejected with
   /// InvalidArgument. The result is immutable: MutableRow and the fp32
   /// accessors CHECK-fail on it.
@@ -156,8 +175,9 @@ class ShardStore {
   /// Whether `shard`'s slab is currently mapped (tests/observability).
   bool ShardResident(int64_t shard) const CAME_EXCLUDES(mu_);
 
-  /// Per-block score-bound metadata over the store's rows (no bias —
-  /// shard-backed serving is inner-product only). Empty — meaning "never
+  /// Per-block score-bound metadata over the store's rows (no bias: a
+  /// per-entity bias lives beside the store, in the serving layer's
+  /// panel source). Empty — meaning "never
   /// prune" — until Seal()/Quantize computes it or Open loads it from
   /// the manifest; MutableRow drops it. Do not call concurrently with mutation.
   const PanelBoundTable& bounds() const { return bounds_; }
@@ -199,6 +219,10 @@ class ShardStore {
     uint32_t crc = 0;       // manifest payload CRC (sealed stores)
   };
 
+  /// One-shard store over a zero-filled anonymous mapping sized for
+  /// `dtype` (InRam and the in-RAM Quantize).
+  static Result<ShardStore> Anonymous(int64_t rows, int64_t dim,
+                                      ShardDtype dtype);
   int64_t ShardIndex(int64_t row) const { return row / rows_per_shard_; }
   std::string SlabPath(int64_t shard) const;
   /// On-disk slab bytes for rows [begin, end) under this store's dtype
@@ -223,7 +247,7 @@ class ShardStore {
   std::string dir_;
   int64_t rows_ = 0;
   int64_t dim_ = 0;
-  ShardDtype dtype_ = ShardDtype::kF32;
+  ShardDtype dtype_ = ShardDtype::kFp32;
   int64_t rows_per_shard_ = 0;
   int64_t max_resident_ = 0;
   bool sealed_ = false;

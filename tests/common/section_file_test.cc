@@ -103,6 +103,32 @@ TEST(SectionFileTest, ReaderChecksMagicVersionAndIds) {
   std::remove(path.c_str());
 }
 
+// Files from before the section framing were magic, u64 payload length,
+// payload, u32 CRC: the reader sees the length's low word as a version.
+// The error must name the version this build reads and say to re-create
+// the file, not just echo the length back as "version 53".
+TEST(SectionFileTest, OldLayoutNamesTheVersionThisBuildReads) {
+  const std::string path = TmpPath("old_layout");
+  const std::string payload(53, 'x');
+  std::string bytes = "TESTFMT1";
+  AppendPod(&bytes, static_cast<uint64_t>(payload.size()));
+  bytes += payload;
+  AppendPod(&bytes, Crc32(payload.data(), payload.size()));
+  ASSERT_TRUE(WriteFileAtomic(path, bytes.data(), bytes.size()).ok());
+
+  SectionFileReader file;
+  const Status st = file.Read(path, "TESTFMT1", 3, {kAaaa});
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(st.message().find("declares version 53"), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("this build reads version 3"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("re-created"), std::string::npos)
+      << st.ToString();
+  std::remove(path.c_str());
+}
+
 TEST(ByteReaderTest, ReadsPastTheEndFailWithoutMoving) {
   const char data[6] = {1, 2, 3, 4, 5, 6};
   ByteReader r(data, sizeof(data), "probe");

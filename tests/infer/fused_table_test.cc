@@ -72,17 +72,6 @@ TEST(FusedTableFormatTest, AbsentBiasAndFoldRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(FusedTableFormatTest, LoadRecomputesBounds) {
-  const std::string path = TmpPath("bounds");
-  const FusedEmbeddingTable table = SyntheticTable();
-  ASSERT_FALSE(table.bounds().empty());
-  ASSERT_TRUE(table.Save(path).ok());
-  FusedEmbeddingTable loaded;
-  ASSERT_TRUE(FusedEmbeddingTable::Load(path, &loaded).ok());
-  EXPECT_EQ(loaded.bounds(), table.bounds());
-  std::remove(path.c_str());
-}
-
 TEST(FusedTableFormatTest, MissingFileIsAnError) {
   FusedEmbeddingTable out;
   EXPECT_FALSE(

@@ -22,8 +22,6 @@
 #include "eval/ranking.h"
 #include "infer/candidate_panels.h"
 #include "infer/fused_embedding_table.h"
-#include "infer/quantized_table.h"
-#include "infer/score_dtype.h"
 #include "infer/score_server.h"
 #include "kg/filter_index.h"
 #include "tensor/gemm.h"
@@ -39,7 +37,7 @@ constexpr int64_t kDim = 8;
 constexpr int64_t kNumRels = 4;
 
 // Quantised hash values provoke ties (see score_server_test.cc). No NaN
-// candidate rows here — QuantizedTable::Build rejects them by contract;
+// candidate rows here — ShardStore::Quantize rejects them by contract;
 // NaN enters the quantized path through queries instead.
 float HashVal(uint64_t a, uint64_t b) {
   uint64_t x = 0x9e3779b97f4a7c15ULL ^ (a * 0x100000001b3ULL) ^
@@ -137,12 +135,24 @@ class QuantScoreServerTest : public ::testing::Test {
     cfg.dtype = ScoreDtype::kBf16;
     bf16_server_ = std::make_unique<ScoreServer>(EncodeQueriesFixture,
                                                  &table_, cfg);
+
+    // The oracles' own encodings of the table, made with the same
+    // quantizers the servers' stores use.
+    int8_rows_.resize(static_cast<size_t>(kN * kDim));
+    int8_scales_.resize(static_cast<size_t>(kN));
+    ASSERT_TRUE(tensor::qgemm::QuantizeRowsInt8(table_.candidates().data(),
+                                                kN, kDim, int8_rows_.data(),
+                                                int8_scales_.data())
+                    .ok());
+    bf16_rows_.resize(static_cast<size_t>(kN * kDim));
+    ASSERT_TRUE(tensor::qgemm::EncodeRowsBf16(table_.candidates().data(), kN,
+                                              kDim, bf16_rows_.data())
+                    .ok());
   }
 
   // Full quantized score vector through the same arithmetic the server
-  // advertises: the two-digit serving-quantized query x the server's own
-  // quantized table, via the serial scalar reference GEMM, plus the fp32
-  // bias.
+  // advertises: the two-digit serving-quantized query x the int8-encoded
+  // table, via the serial scalar reference GEMM, plus the fp32 bias.
   std::vector<float> FullInt8Scores(int64_t head, int64_t rel) const {
     const tensor::Tensor q = EncodeQueriesFixture({head}, {rel});
     std::vector<int8_t> q8_hi(static_cast<size_t>(kDim));
@@ -151,25 +161,23 @@ class QuantScoreServerTest : public ::testing::Test {
     float lo_scale = 0.0f;
     tensor::qgemm::QuantizeRowsInt8ServingTwoDigit(
         q.data(), 1, kDim, q8_hi.data(), &hi_scale, q8_lo.data(), &lo_scale);
-    const QuantizedTable& qt = int8_server_->quantized_table();
     std::vector<float> scores(static_cast<size_t>(kN));
     tensor::qgemm::ReferenceGemmInt8TwoDigit(
-        q8_hi.data(), &hi_scale, q8_lo.data(), &lo_scale, qt.int8_rows(),
-        qt.scales(), scores.data(), 1, kDim, kN);
+        q8_hi.data(), &hi_scale, q8_lo.data(), &lo_scale, int8_rows_.data(),
+        int8_scales_.data(), scores.data(), 1, kDim, kN);
     for (int64_t i = 0; i < kN; ++i) {
       scores[static_cast<size_t>(i)] += table_.bias().data()[i];
     }
     return scores;
   }
 
-  // bf16: decode the server's encoded rows once and run the same fp32
+  // bf16: decode the bf16-encoded rows once and run the same fp32
   // GEMM the fp32 path uses (panel scores are bitwise equal to full-width
   // columns, so one full-width call is a valid oracle).
   std::vector<float> FullBf16Scores(int64_t head, int64_t rel) const {
     const tensor::Tensor q = EncodeQueriesFixture({head}, {rel});
-    const QuantizedTable& qt = bf16_server_->quantized_table();
     std::vector<float> decoded(static_cast<size_t>(kN * kDim));
-    tensor::qgemm::DecodeBf16(qt.bf16_rows(), kN * kDim, decoded.data());
+    tensor::qgemm::DecodeBf16(bf16_rows_.data(), kN * kDim, decoded.data());
     std::vector<float> scores(static_cast<size_t>(kN));
     tensor::gemm::Gemm(q.data(), decoded.data(), scores.data(), 1, kDim, kN,
                        /*trans_a=*/false, /*trans_b=*/true,
@@ -228,17 +236,16 @@ class QuantScoreServerTest : public ::testing::Test {
   FusedEmbeddingTable table_;
   std::unique_ptr<ScoreServer> int8_server_;
   std::unique_ptr<ScoreServer> bf16_server_;
+  std::vector<int8_t> int8_rows_;
+  std::vector<float> int8_scales_;
+  std::vector<uint16_t> bf16_rows_;
 };
 
 TEST_F(QuantScoreServerTest, DtypePlumbingAndAccessors) {
   EXPECT_EQ(int8_server_->score_dtype(), ScoreDtype::kInt8);
   EXPECT_EQ(bf16_server_->score_dtype(), ScoreDtype::kBf16);
-  EXPECT_EQ(int8_server_->quantized_table().dtype(), ScoreDtype::kInt8);
-  EXPECT_EQ(bf16_server_->quantized_table().dtype(), ScoreDtype::kBf16);
-  // A plain fp32 server has no quantized table.
   ScoreServer fp32(EncodeQueriesFixture, &table_);
   EXPECT_EQ(fp32.score_dtype(), ScoreDtype::kFp32);
-  EXPECT_DEATH(fp32.quantized_table(), "");
 }
 
 TEST_F(QuantScoreServerTest, Int8MatchesQuantizedOracleAcrossKAndThreads) {

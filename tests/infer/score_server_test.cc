@@ -435,6 +435,59 @@ TEST(ScoreServerPruneTest, SkewedTableSkipsPanelsBitwiseIdentically) {
             stats.batches_executed * ((n + 127) / 128));
 }
 
+// Large positive biases lift three tiny-norm tail rows above every hot
+// row. The panel bound must carry the bias maxima: with a bias-free bound
+// their panels look prunable and the pruned sweep would drop them. The
+// fused-table server gets this right in every dtype.
+TEST(ScoreServerPruneTest, PositiveBiasSkewedTableMatchesUnprunedPerDtype) {
+  const int64_t n = 2048;
+  const int64_t hot = 96;
+  tensor::Tensor cand({n, kDim});
+  tensor::Tensor bias({n});
+  for (int64_t i = 0; i < n; ++i) {
+    const float scale = i < hot ? 1.0f : 0.01f;
+    for (int64_t j = 0; j < kDim; ++j) {
+      cand.data()[i * kDim + j] =
+          scale * HashVal(0xFEED + static_cast<uint64_t>(i),
+                          static_cast<uint64_t>(j));
+    }
+    bias.data()[i] =
+        0.001f * (2.0f + HashVal(0xB1A5, static_cast<uint64_t>(i)));
+  }
+  // Hot scores are at most kDim * 1.5 * 1.5 = 18.
+  for (const int64_t i : {int64_t{1500}, int64_t{1501}, int64_t{1777}}) {
+    bias.data()[i] = 40.0f;
+  }
+  const FusedEmbeddingTable table("biased", cand, bias, tensor::Tensor());
+  for (const ScoreDtype dtype :
+       {ScoreDtype::kFp32, ScoreDtype::kInt8, ScoreDtype::kBf16}) {
+    ScoreServerConfig on_cfg;
+    on_cfg.panel_width = 128;
+    on_cfg.dtype = dtype;
+    on_cfg.prune = true;
+    ScoreServerConfig off_cfg = on_cfg;
+    off_cfg.prune = false;
+    ScoreServer on(EncodeQueriesFixture, &table, on_cfg);
+    ScoreServer off(EncodeQueriesFixture, &table, off_cfg);
+    for (int64_t head = 0; head < 12; ++head) {
+      const TopKResult got = TopKOrDie(&on, head, head % kNumRels, 10);
+      const TopKResult want = TopKOrDie(&off, head, head % kNumRels, 10);
+      ASSERT_EQ(got.ids, want.ids)
+          << tensor::ShardDtypeName(dtype) << " head " << head;
+      EXPECT_EQ(std::memcmp(got.scores.data(), want.scores.data(),
+                            got.scores.size() * sizeof(float)),
+                0);
+      for (const int64_t target : {int64_t{1501}, head * 171 % n}) {
+        EXPECT_EQ(RankOfOrDie(&on, head, 1, target),
+                  RankOfOrDie(&off, head, 1, target))
+            << tensor::ShardDtypeName(dtype) << " target " << target;
+      }
+    }
+    EXPECT_GT(on.GetStats().panels_skipped, 0) << tensor::ShardDtypeName(dtype);
+    EXPECT_EQ(off.GetStats().panels_skipped, 0);
+  }
+}
+
 TEST(ScoreServerPruneTest, NanQueryMatchesUnprunedSweep) {
   tensor::Tensor cand({kN, kDim});
   for (int64_t i = 0; i < kN; ++i) {

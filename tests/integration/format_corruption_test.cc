@@ -184,7 +184,7 @@ class FusedTableFormat : public Format {
     AppendFloats(&fp, target_.candidates());
     AppendFloats(&fp, target_.bias());
     AppendFloats(&fp, target_.folded_rows());
-    return fp + target_.bounds().Encode();
+    return fp;
   }
 
  private:
@@ -204,7 +204,7 @@ class ShardManifestFormat : public Format {
     tensor::ShardStoreOptions opts;
     opts.rows_per_shard = 4;
     const std::string fp32_dir =
-        dtype_ == tensor::ShardDtype::kF32 ? store_dir() : dir_ + "/src";
+        dtype_ == tensor::ShardDtype::kFp32 ? store_dir() : dir_ + "/src";
     Result<tensor::ShardStore> made =
         tensor::ShardStore::Create(fp32_dir, 10, 3, opts);
     ASSERT_TRUE(made.ok()) << made.status().ToString();
@@ -215,7 +215,7 @@ class ShardManifestFormat : public Format {
       }
     }
     ASSERT_TRUE(store.Seal().ok());
-    if (dtype_ != tensor::ShardDtype::kF32) {
+    if (dtype_ != tensor::ShardDtype::kFp32) {
       Result<tensor::ShardStore> q =
           tensor::ShardStore::Quantize(&store, store_dir(), dtype_);
       ASSERT_TRUE(q.ok()) << q.status().ToString();
@@ -417,7 +417,7 @@ INSTANTIATE_TEST_SUITE_P(
         FormatParam{"shard_fp32",
                     [](const std::string& dir) -> std::unique_ptr<Format> {
                       return std::make_unique<ShardManifestFormat>(
-                          dir, tensor::ShardDtype::kF32);
+                          dir, tensor::ShardDtype::kFp32);
                     }},
         FormatParam{"shard_int8",
                     [](const std::string& dir) -> std::unique_ptr<Format> {

@@ -482,7 +482,7 @@ TEST_F(ShardStoreQuantizeTest, Bf16QuantizeMatchesDirectEncoding) {
 TEST_F(ShardStoreQuantizeTest, QuantizeRejectsBadInputs) {
   // Target dtype must be a quantized one.
   EXPECT_FALSE(
-      ShardStore::Quantize(&src_, TestDir("quant_f32"), ShardDtype::kF32)
+      ShardStore::Quantize(&src_, TestDir("quant_f32"), ShardDtype::kFp32)
           .ok());
   // Destination must not already hold a manifest.
   EXPECT_FALSE(
@@ -508,6 +508,121 @@ TEST_F(ShardStoreQuantizeTest, QuantizeRejectsNonFiniteRows) {
     ASSERT_FALSE(q.ok()) << ShardDtypeName(dtype);
     EXPECT_EQ(q.status().code(), Status::Code::kInvalidArgument);
   }
+}
+
+TEST_F(ShardStoreQuantizeTest, InRamQuantizeWantsAnInRamSource) {
+  const Result<ShardStore> q =
+      ShardStore::Quantize(&src_, "", ShardDtype::kInt8);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), Status::Code::kInvalidArgument);
+}
+
+// --- in-RAM quantize (an empty destination directory) -----------------------
+
+constexpr int64_t kRamRows = 130;  // three 64-row bound blocks, ragged tail
+constexpr int64_t kRamDim = 7;
+
+// One-shard in-RAM fp32 store with one all-zero row (row 17).
+ShardStore InRamRows() {
+  Result<ShardStore> made = ShardStore::InRam(kRamRows, kRamDim);
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  ShardStore s = std::move(made).value();
+  FillStore(&s);
+  std::memset(s.MutableRow(17), 0, sizeof(float) * kRamDim);
+  return s;
+}
+
+TEST(ShardStoreInRamQuantizeTest, Int8MatchesDirectQuantization) {
+  ShardStore src = InRamRows();
+  Result<ShardStore> made = ShardStore::Quantize(&src, "", ShardDtype::kInt8);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  ShardStore& q = made.value();
+  EXPECT_TRUE(q.in_ram());
+  EXPECT_EQ(q.dtype(), ShardDtype::kInt8);
+  EXPECT_EQ(q.num_shards(), 1);
+  EXPECT_EQ(q.ShardEnd(0), kRamRows);
+
+  std::vector<int8_t> want_q(static_cast<size_t>(kRamRows * kRamDim));
+  std::vector<float> want_s(static_cast<size_t>(kRamRows));
+  ASSERT_TRUE(qgemm::QuantizeRowsInt8(src.PanelRows(0, kRamRows), kRamRows,
+                                      kRamDim, want_q.data(), want_s.data())
+                  .ok());
+  EXPECT_EQ(std::memcmp(q.QuantPanelRows(0, kRamRows), want_q.data(),
+                        want_q.size()),
+            0);
+  EXPECT_EQ(std::memcmp(q.PanelScales(0, kRamRows), want_s.data(),
+                        want_s.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(q.PanelScales(0, kRamRows)[17], 0.0f);  // the all-zero row
+
+  // Bounds over the encoded rows, exactly as the one builder makes them.
+  PanelBoundTable want_bounds(kRamRows, kDefaultBoundBlockRows);
+  AccountRowsInt8(&want_bounds, want_q.data(), want_s.data(), nullptr, 0,
+                  kRamRows, kRamDim);
+  EXPECT_EQ(q.bounds(), want_bounds);
+#if GTEST_HAS_DEATH_TEST
+  EXPECT_DEATH(q.MutableRow(0), "");
+#endif
+}
+
+TEST(ShardStoreInRamQuantizeTest, Bf16MatchesDirectEncoding) {
+  ShardStore src = InRamRows();
+  Result<ShardStore> made = ShardStore::Quantize(&src, "", ShardDtype::kBf16);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  ShardStore& q = made.value();
+  EXPECT_TRUE(q.in_ram());
+  EXPECT_EQ(q.dtype(), ShardDtype::kBf16);
+  std::vector<uint16_t> want(static_cast<size_t>(kRamRows * kRamDim));
+  ASSERT_TRUE(qgemm::EncodeRowsBf16(src.PanelRows(0, kRamRows), kRamRows,
+                                    kRamDim, want.data())
+                  .ok());
+  EXPECT_EQ(std::memcmp(q.Bf16PanelRows(0, kRamRows), want.data(),
+                        want.size() * sizeof(uint16_t)),
+            0);
+  PanelBoundTable want_bounds(kRamRows, kDefaultBoundBlockRows);
+  AccountRowsBf16(&want_bounds, want.data(), nullptr, 0, kRamRows, kRamDim);
+  EXPECT_EQ(q.bounds(), want_bounds);
+}
+
+TEST(ShardStoreInRamQuantizeTest, RejectsFp32TargetAndNonFiniteRows) {
+  ShardStore src = InRamRows();
+  const Result<ShardStore> fp32 =
+      ShardStore::Quantize(&src, "", ShardDtype::kFp32);
+  ASSERT_FALSE(fp32.ok());
+  EXPECT_EQ(fp32.status().code(), Status::Code::kInvalidArgument);
+
+  Result<ShardStore> made = ShardStore::InRam(2, 3);
+  ASSERT_TRUE(made.ok());
+  ShardStore poisoned = std::move(made).value();
+  for (int64_t r = 0; r < 2; ++r) {
+    for (int64_t c = 0; c < 3; ++c) poisoned.MutableRow(r)[c] = 1.0f;
+  }
+  poisoned.MutableRow(1)[1] = std::numeric_limits<float>::quiet_NaN();
+  for (const ShardDtype dtype : {ShardDtype::kInt8, ShardDtype::kBf16}) {
+    const Result<ShardStore> bad = ShardStore::Quantize(&poisoned, "", dtype);
+    ASSERT_FALSE(bad.ok()) << ShardDtypeName(dtype);
+    EXPECT_EQ(bad.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(bad.status().message().find("row 1"), std::string::npos)
+        << bad.status().ToString();
+  }
+}
+
+TEST(ShardDtypeTest, NameParseAndManifestBytes) {
+  EXPECT_EQ(ShardDtypeName(ShardDtype::kFp32), "fp32");
+  EXPECT_EQ(ShardDtypeName(ShardDtype::kInt8), "int8");
+  EXPECT_EQ(ShardDtypeName(ShardDtype::kBf16), "bf16");
+  for (const ShardDtype d :
+       {ShardDtype::kFp32, ShardDtype::kInt8, ShardDtype::kBf16}) {
+    const Result<ShardDtype> parsed = ParseShardDtype(ShardDtypeName(d));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value(), d);
+  }
+  EXPECT_FALSE(ParseShardDtype("fp16").ok());
+  EXPECT_FALSE(ParseShardDtype("").ok());
+  // The CAMESHD1 META dtype byte.
+  EXPECT_EQ(static_cast<uint8_t>(ShardDtype::kFp32), 0);
+  EXPECT_EQ(static_cast<uint8_t>(ShardDtype::kInt8), 1);
+  EXPECT_EQ(static_cast<uint8_t>(ShardDtype::kBf16), 2);
 }
 
 // Slab corruption for the int8 layout (padded rows + scale block): every
